@@ -15,9 +15,12 @@ linearly independent, which is what makes the equality decision procedure
 (split by gauge degree, refine to a common right depth, compare coefficient
 maps) sound.
 
-Zero-one witness blocks for the embedding identities are plain numpy integer
-arrays; the finite-dimensional block picture of the degree-zero part uses
-exact Fractions.
+The zero-one witness blocks for the embedding identities are partial
+permutation matrices, so the verifier stores each one as the set of its
+(row, column) units and compares only the cells that are nonzero on either
+side; ``witness_blocks`` is a dense numpy view of the same units.  The
+finite-dimensional block picture of the degree-zero part uses exact
+Fractions.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ import numpy as np
 from .matrix import TransitionMatrix
 from .sft import (
     WORD_CAP,
-    SymbolOutOfRangeError,
     TooManyWordsError,
     Word,
+    _check_word,
+    _words_from,
     enumerate_words,
 )
 
@@ -201,6 +205,7 @@ class CuntzKriegerAlgebra:
             sum(1 << (j - 1) for j in row) for row in matrix.successors
         )
         self._word_cache: dict[int, tuple[Word, ...]] = {0: ((),)}
+        self._prefix_cache: dict[int, dict[Word, range]] = {}
         self.zero = CKElement(self, {})
         self.identity = CKElement(self, {Monomial((), ()): Fraction(1)})
 
@@ -216,11 +221,20 @@ class CuntzKriegerAlgebra:
         return found
 
     def _check_word(self, word) -> Word:
-        w = tuple(word)
-        for sym in w:
-            if not isinstance(sym, int) or isinstance(sym, bool) or not 1 <= sym <= self.n:
-                raise SymbolOutOfRangeError(sym, self.n)
-        return w
+        return _check_word(word, self.n)
+
+    def _prefix_ranges(self, m: int, cap: int = WORD_CAP) -> dict[Word, range]:
+        """Map each prefix (of length 0..m) of an admissible length-m word to
+        the index range of the length-m words that start with it; the words
+        are sorted, so that set is contiguous."""
+        if m not in self._prefix_cache:
+            bounds: dict[Word, list[int]] = {}
+            for r, wd in enumerate(self.words(m, cap=cap)):
+                for k in range(m + 1):
+                    span = bounds.setdefault(wd[:k], [r, r])
+                    span[1] = r + 1
+            self._prefix_cache[m] = {p: range(lo, hi) for p, (lo, hi) in bounds.items()}
+        return self._prefix_cache[m]
 
     def _admissible(self, word: Word) -> bool:
         rows = self._rows
@@ -401,34 +415,43 @@ class CuntzKriegerAlgebra:
     def block_embedding(self, m: int, x: CKElement, cap: int = WORD_CAP) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
         to S_mu* x S_nu; a *-homomorphism into the block algebra."""
+        cells = self._embedding_cells(m, x, cap=cap)
+        index = self.words(m, cap=cap)
+        w = len(index)
+        entries = tuple(
+            tuple(cells.get((r, c), self.zero) for c in range(w)) for r in range(w)
+        )
+        return BlockMatrix(self, m, index, entries)
+
+    def _embedding_cells(self, m: int, x: CKElement, cap: int = WORD_CAP) -> dict:
+        """The nonzero entries {(row, col): S_mu* x S_nu} of the depth-m
+        block embedding, keyed by word index.
+
+        S_mu* S_a S_b* S_nu can be nonzero only when mu is prefix-comparable
+        with a and nu with b, so only the rows reached from the left words of
+        x, and in each row only the columns reached from the right words of
+        S_mu* x, are multiplied out.
+        """
         if m < 1:
             raise ValueError("block depth must be >= 1")
         index = self.words(m, cap=cap)
-        rights = [self.s(wd) for wd in index]
-        zero_row = (self.zero,) * len(index)
-        entries = []
-        for wd in index:
-            left = self.s_star(wd) * x
-            if left.is_zero:
-                entries.append(zero_row)
-            else:
-                entries.append(tuple(left * r for r in rights))
-        return BlockMatrix(self, m, index, tuple(entries))
+        prefixes = self._prefix_ranges(m, cap=cap)
+        rows: set[int] = set()
+        for mono in x.terms:
+            rows.update(prefixes.get(mono.left[:m], ()))
+        cells = {}
+        for r in sorted(rows):
+            left = self.s_star(index[r]) * x
+            cols: set[int] = set()
+            for mono in left.terms:
+                cols.update(prefixes.get(mono.right[:m], ()))
+            for c in sorted(cols):
+                entry = left * self.s(index[c])
+                if not entry.is_zero:
+                    cells[r, c] = entry
+        return cells
 
     # -- witness blocks for the embedding identities -------------------------
-
-    def _words_from(self, origin: int, length: int) -> list[Word]:
-        out: list[Word] = []
-
-        def extend(prefix: Word):
-            if len(prefix) == length:
-                out.append(prefix)
-                return
-            for j in self._succ[prefix[-1] - 1]:
-                extend(prefix + (j,))
-
-        extend((origin,))
-        return out
 
     def _cat_admissible(self, *parts: Word) -> bool:
         prev: Word = ()
@@ -452,7 +475,23 @@ class CuntzKriegerAlgebra:
         each symbol j to the analogous sum with mid additionally ending at j,
         and the image is sum_j block(j) (x) Q_j.  Every block is a partial
         isometry (B B^T B = B over the integers).
+
+        Each block is a dense w(m) x w(m) int64 array; the verifier works on
+        the sparse unit sets underneath.
         """
+        units = self._witness_units(alpha, beta, i, l, m, cap=cap)
+        w = len(self.words(m, cap=cap))
+        out = {}
+        for key, cells in units.items():
+            block = np.zeros((w, w), dtype=np.int64)
+            for r, c in cells:
+                block[r, c] = 1
+            out[key] = block
+        return out
+
+    def _witness_units(self, alpha, beta, i: int, l: int, m: int, cap: int = WORD_CAP) -> dict:
+        """The witness blocks of ``witness_blocks``, each as the set of its
+        (row, col) matrix units, keyed (and ordered) the same way."""
         a = self._check_word(alpha)
         b = self._check_word(beta)
         self._check_word((i,))
@@ -472,32 +511,28 @@ class CuntzKriegerAlgebra:
             )
         index = self.words(m, cap=cap)
         pos = {wd: r for r, wd in enumerate(index)}
-        w = len(index)
         mid_len = m - l - len(a)
         etas = self.words(l)
-        mids = self._words_from(i, mid_len)
+        mids = _words_from(self._succ, mid_len, (i,))
         if len(a) > len(b):
-            out = {
-                mu: np.zeros((w, w), dtype=np.int64)
-                for mu in self.words(len(a) - len(b))
-            }
+            out = {mu: set() for mu in self.words(len(a) - len(b))}
             for eta in etas:
                 for mid in mids:
                     if not self._cat_admissible(eta, a, mid):
                         continue
                     row = pos[eta + a + mid]
-                    for mu, block in out.items():
+                    for mu, cells in out.items():
                         if self._cat_admissible(eta, b, mid, mu):
-                            block[row, pos[eta + b + mid + mu]] = 1
+                            cells.add((row, pos[eta + b + mid + mu]))
             return out
-        out = {j: np.zeros((w, w), dtype=np.int64) for j in range(1, self.n + 1)}
+        out = {j: set() for j in range(1, self.n + 1)}
         for eta in etas:
             for mid in mids:
                 if not self._cat_admissible(eta, a, mid):
                     continue
                 if not self._cat_admissible(eta, b, mid):
                     continue
-                out[mid[-1]][pos[eta + a + mid], pos[eta + b + mid]] = 1
+                out[mid[-1]].add((pos[eta + a + mid], pos[eta + b + mid]))
         return out
 
     # -- finite-dimensional picture of the degree-zero part ------------------
@@ -749,6 +784,12 @@ def verify_relations(
     )
 
 
+def _is_partial_permutation(units) -> bool:
+    """True iff the 0/1 matrix with these (row, col) units satisfies
+    B B^T B = B, i.e. no row and no column holds two units."""
+    return len({r for r, _ in units}) == len(units) == len({c for _, c in units})
+
+
 def verify_witness_decomposition(
     alg: CuntzKriegerAlgebra,
     n0: int,
@@ -763,17 +804,19 @@ def verify_witness_decomposition(
     every shift power l < n, the left side is computed symbolically through
     the embedding at depth m = n + n0 and compared entrywise with the sum of
     witness blocks tensored with S_mu (or with Q_j); every witness block is
-    additionally checked to be a partial isometry.  Failures are reported in
-    deterministic generator-then-power order.
+    additionally checked to be a partial isometry.  Only the cells that are
+    nonzero on one side or the other are compared, in row-major order: every
+    other cell is zero on both.  Failures are reported in deterministic
+    generator-then-power order.
 
-    ``inject_fault`` removes one matrix unit from the first nonzero witness
-    block encountered, to exercise the failure reporting path.
+    ``inject_fault`` removes one matrix unit (the first in row-major order)
+    from the first nonempty witness block, to exercise the failure reporting
+    path.
     """
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be >= 1")
     m = n0 + n
     index = alg.words(m, cap=cap)
-    w = len(index)
     failures: list[dict] = []
     cases = 0
     failed_cases = 0
@@ -792,47 +835,39 @@ def verify_witness_decomposition(
                 for l in range(n):
                     cases += 1
                     case_failures = len(failures)
-                    blocks = alg.witness_blocks(alpha, beta, i, l, m, cap=cap)
+                    blocks = alg._witness_units(alpha, beta, i, l, m, cap=cap)
                     if inject_fault and not injected:
-                        for key in blocks:
-                            nz = np.argwhere(blocks[key])
-                            if len(nz):
-                                blocks[key][nz[0][0], nz[0][1]] = 0
+                        for units in blocks.values():
+                            if units:
+                                units.remove(min(units))
                                 injected = True
                                 break
-                    lhs = alg.block_embedding(m, alg.shift(gen, l), cap=cap)
-                    rhs_terms = [[None] * w for _ in range(w)]
-                    for key, block in blocks.items():
+                    lhs = alg._embedding_cells(m, alg.shift(gen, l), cap=cap)
+                    rhs_terms: dict[tuple[int, int], dict] = {}
+                    for key, units in blocks.items():
                         piece = (
                             alg.s(key) if isinstance(key, tuple) else alg.q(key)
                         )
-                        for r, c in np.argwhere(block):
-                            cell = rhs_terms[r][c]
-                            if cell is None:
-                                cell = rhs_terms[r][c] = {}
+                        for cell in units:
+                            acc = rhs_terms.setdefault(cell, {})
                             for mono, coeff in piece.terms.items():
-                                cell[mono] = cell.get(mono, 0) + coeff
-                    for r in range(w):
-                        for c in range(w):
-                            rhs = (
-                                alg.zero
-                                if rhs_terms[r][c] is None
-                                else CKElement(alg, rhs_terms[r][c])
+                                acc[mono] = acc.get(mono, 0) + coeff
+                    for r, c in sorted(lhs.keys() | rhs_terms.keys()):
+                        rhs = CKElement(alg, rhs_terms.get((r, c), {}))
+                        if not alg.equal(lhs.get((r, c), alg.zero), rhs):
+                            failures.append(
+                                {
+                                    "alpha": list(alpha),
+                                    "beta": list(beta),
+                                    "i": i,
+                                    "l": l,
+                                    "kind": "entry_mismatch",
+                                    "row": list(index[r]),
+                                    "col": list(index[c]),
+                                }
                             )
-                            if not alg.equal(lhs.entries[r][c], rhs):
-                                failures.append(
-                                    {
-                                        "alpha": list(alpha),
-                                        "beta": list(beta),
-                                        "i": i,
-                                        "l": l,
-                                        "kind": "entry_mismatch",
-                                        "row": list(index[r]),
-                                        "col": list(index[c]),
-                                    }
-                                )
-                    for key, block in blocks.items():
-                        if not np.array_equal(block @ block.T @ block, block):
+                    for key, units in blocks.items():
+                        if not _is_partial_permutation(units):
                             failures.append(
                                 {
                                     "alpha": list(alpha),

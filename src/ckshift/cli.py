@@ -5,7 +5,8 @@ text rows), runs entropy computations or symbolic verifications, and emits
 text, JSON or CSV.  Numeric JSON fields are decimal strings with 15
 significant digits so output is byte-stable across runs.
 
-Exit codes: 0 success, 1 verification mismatch, 2 operational error.
+Exit codes: 0 success, 1 verification mismatch, 2 operational error (bad
+input, I/O, or exhausted recursion or memory), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .ck import (
     verify_witness_decomposition,
 )
 from .matrix import (
-    MatrixError,
     dual_matrix,
     is_irreducible,
     is_permutation,
@@ -31,8 +31,7 @@ from .matrix import (
     word_count,
 )
 from .sft import (
-    SymbolOutOfRangeError,
-    TooManyWordsError,
+    _fmt,
     entropy_estimates,
     enumerate_words,
     markov_entropy,
@@ -40,10 +39,6 @@ from .sft import (
 )
 
 LOG2 = math.log(2.0)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
 
 
 def _emit_json(obj) -> None:
@@ -339,15 +334,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixError, SymbolOutOfRangeError, TooManyWordsError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except (OSError, ValueError, RecursionError) as exc:
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory"
+    sys.stderr.write(f"error: {message}\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -83,19 +83,21 @@ def enumerate_words(mat: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list[
     count = word_count(mat, k)
     if count > cap:
         raise TooManyWordsError(count, cap)
-    succ = mat.successors
-    out: list[Word] = []
+    return _words_from(mat.successors, k, range(1, mat.n + 1))
 
-    def extend(prefix: Word):
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        for j in succ[prefix[-1] - 1]:
-            extend(prefix + (j,))
 
-    for i in range(1, mat.n + 1):
-        extend((i,))
-    return out
+def _words_from(successors, k: int, starts) -> list[Word]:
+    """The admissible words of length k >= 1 whose first symbol is in
+    ``starts``, lexicographically sorted when ``starts`` is ascending.
+
+    Built one length at a time: extending a sorted list word by word, each
+    through its ascending successor list, keeps it sorted.  No recursion, so
+    k is not bounded by the interpreter's recursion limit.
+    """
+    level = [(s,) for s in starts]
+    for _ in range(k - 1):
+        level = [w + (j,) for w in level for j in successors[w[-1] - 1]]
+    return level
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,148 @@
+"""Dense reference for the witness verifier.
+
+The verifier as it stood before it went sparse: dense w x w int64 witness
+blocks, the block embedding multiplied out in every one of its w^2 cells,
+``alg.equal`` on every cell, and the partial-isometry check as the matrix
+identity B B^T B = B.  It shares no code with the sparse helpers in
+``ck.py`` (witness units, embedding cells, prefix ranges), so agreement of
+the two reports is an independent check of them.
+"""
+
+import numpy as np
+
+from ckshift.ck import BlockMatrix, CKElement, VerificationReport
+
+
+def dense_block_embedding(alg, m, x):
+    """Entry (mu, nu) = S_mu* x S_nu, multiplied out for every cell."""
+    index = alg.words(m)
+    rights = [alg.s(wd) for wd in index]
+    zero_row = (alg.zero,) * len(index)
+    entries = []
+    for wd in index:
+        left = alg.s_star(wd) * x
+        if left.is_zero:
+            entries.append(zero_row)
+        else:
+            entries.append(tuple(left * r for r in rights))
+    return BlockMatrix(alg, m, index, tuple(entries))
+
+
+def dense_witness_blocks(alg, alpha, beta, i, l, m):
+    """The witness blocks as dense arrays, by the same loops as
+    ``witness_blocks``; preconditions are the caller's business."""
+    a, b = tuple(alpha), tuple(beta)
+    index = alg.words(m)
+    pos = {wd: r for r, wd in enumerate(index)}
+    w = len(index)
+    mids = [wd for wd in alg.words(m - l - len(a)) if wd[0] == i]
+    etas = alg.words(l)
+    if len(a) > len(b):
+        out = {
+            mu: np.zeros((w, w), dtype=np.int64)
+            for mu in alg.words(len(a) - len(b))
+        }
+        for eta in etas:
+            for mid in mids:
+                if not alg._cat_admissible(eta, a, mid):
+                    continue
+                row = pos[eta + a + mid]
+                for mu, block in out.items():
+                    if alg._cat_admissible(eta, b, mid, mu):
+                        block[row, pos[eta + b + mid + mu]] = 1
+        return out
+    out = {j: np.zeros((w, w), dtype=np.int64) for j in range(1, alg.n + 1)}
+    for eta in etas:
+        for mid in mids:
+            if not alg._cat_admissible(eta, a, mid):
+                continue
+            if not alg._cat_admissible(eta, b, mid):
+                continue
+            out[mid[-1]][pos[eta + a + mid], pos[eta + b + mid]] = 1
+    return out
+
+
+def verify_witness_decomposition_dense(alg, n0, n, inject_fault=False):
+    if n0 < 1 or n < 1:
+        raise ValueError("n0 and n must be >= 1")
+    m = n0 + n
+    index = alg.words(m)
+    w = len(index)
+    failures = []
+    cases = 0
+    failed_cases = 0
+    injected = False
+
+    alphas = [()]
+    for k in range(1, n0 + 1):
+        alphas.extend(alg.words(k))
+    for alpha in alphas:
+        betas = [()]
+        for k in range(1, len(alpha) + 1):
+            betas.extend(alg.words(k))
+        for beta in betas:
+            for i in range(1, alg.n + 1):
+                gen = alg.generator(alpha, i, beta)
+                for l in range(n):
+                    cases += 1
+                    case_failures = len(failures)
+                    blocks = dense_witness_blocks(alg, alpha, beta, i, l, m)
+                    if inject_fault and not injected:
+                        for key in blocks:
+                            nz = np.argwhere(blocks[key])
+                            if len(nz):
+                                blocks[key][nz[0][0], nz[0][1]] = 0
+                                injected = True
+                                break
+                    lhs = dense_block_embedding(alg, m, alg.shift(gen, l))
+                    rhs_terms = [[None] * w for _ in range(w)]
+                    for key, block in blocks.items():
+                        piece = (
+                            alg.s(key) if isinstance(key, tuple) else alg.q(key)
+                        )
+                        for r, c in np.argwhere(block):
+                            cell = rhs_terms[r][c]
+                            if cell is None:
+                                cell = rhs_terms[r][c] = {}
+                            for mono, coeff in piece.terms.items():
+                                cell[mono] = cell.get(mono, 0) + coeff
+                    for r in range(w):
+                        for c in range(w):
+                            rhs = (
+                                alg.zero
+                                if rhs_terms[r][c] is None
+                                else CKElement(alg, rhs_terms[r][c])
+                            )
+                            if not alg.equal(lhs.entries[r][c], rhs):
+                                failures.append(
+                                    {
+                                        "alpha": list(alpha),
+                                        "beta": list(beta),
+                                        "i": i,
+                                        "l": l,
+                                        "kind": "entry_mismatch",
+                                        "row": list(index[r]),
+                                        "col": list(index[c]),
+                                    }
+                                )
+                    for key, block in blocks.items():
+                        if not np.array_equal(block @ block.T @ block, block):
+                            failures.append(
+                                {
+                                    "alpha": list(alpha),
+                                    "beta": list(beta),
+                                    "i": i,
+                                    "l": l,
+                                    "kind": "not_partial_isometry",
+                                    "block": list(key) if isinstance(key, tuple) else key,
+                                }
+                            )
+                    if len(failures) > case_failures:
+                        failed_cases += 1
+
+    return VerificationReport(
+        cases=cases,
+        passed=cases - failed_cases,
+        failures=failures,
+        params={"n0": n0, "n": n, "m": m},
+    )

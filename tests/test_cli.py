@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ckshift import cli
 from ckshift.cli import main
 
 
@@ -143,6 +144,12 @@ class TestWords:
             main(["words", "--matrix", golden_file])
         assert exc.value.code == 2
 
+    def test_deep_cycle_exits_0(self, capsys, perm_file):
+        code, out, err = run(capsys, ["words", "--matrix", perm_file, "--k-max", "2000"])
+        assert code == 0
+        assert err == ""
+        assert out.splitlines() == [" ".join(["1 2"] * 1000), " ".join(["2 1"] * 1000)]
+
 
 class TestParry:
     def test_json(self, capsys, golden_file):
@@ -256,3 +263,18 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert "log spectral radius" in proc.stdout
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_resource_errors_exit_2_with_one_line(self, capsys, monkeypatch, golden_file, error):
+        def boom(args):
+            raise error("limit hit")
+
+        monkeypatch.setattr(cli, "_cmd_validate", boom)
+        code, out, err = run(capsys, ["validate", "--matrix", golden_file])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -62,6 +62,11 @@ class TestEnumerateWords:
         with pytest.raises(ValueError):
             enumerate_words(full2, 0)
 
+    def test_deep_cycle_without_recursion(self, perm2):
+        # far past the interpreter's default recursion limit of 1000
+        words = enumerate_words(perm2, 2000)
+        assert words == [(1, 2) * 1000, (2, 1) * 1000]
+
 
 class TestParryMeasure:
     def test_golden_mean_values(self, golden_mean):
