@@ -22,13 +22,13 @@ from .ck import (
     verify_witness_decomposition,
 )
 from .matrix import (
+    _word_counts,
     dual_matrix,
     is_irreducible,
     is_permutation,
     load_int_matrix,
     load_matrix,
     spectral_radius,
-    word_count,
 )
 from .sft import (
     _fmt,
@@ -193,10 +193,9 @@ def _cmd_convergence(args) -> int:
     mat = load_matrix(args.matrix)
     scale = _scale(args.base)
     report = entropy_estimates(mat, args.k_max)
-    witness = [
-        math.log(word_count(mat, row.k + args.n0)) / row.k / scale
-        for row in report.rows
-    ]
+    # w(k + n0) for k = 1..k_max
+    counts = _word_counts(mat, args.k_max + args.n0, 1 + args.n0)
+    witness = [math.log(wn) / row.k / scale for row, wn in zip(report.rows, counts)]
     target = None if report.target is None else report.target / scale
     rows = [
         {

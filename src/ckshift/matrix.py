@@ -10,6 +10,7 @@ floating point is confined to the power iteration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,8 +82,8 @@ class NoConvergenceError(MatrixError):
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Validated square 0/1 matrix with no zero row or column."""
+class IntMatrix:
+    """Validated square nonnegative integer matrix with no zero row or column."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -93,6 +94,14 @@ class TransitionMatrix:
     def entry(self, i: int, j: int) -> int:
         """Entry at 1-based symbol pair (i, j)."""
         return self.entries[i - 1][j - 1]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({[list(r) for r in self.entries]})"
+
+
+@dataclass(frozen=True, repr=False)
+class TransitionMatrix(IntMatrix):
+    """Validated square 0/1 matrix with no zero row or column."""
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
@@ -108,26 +117,6 @@ class TransitionMatrix:
         return tuple(
             tuple(i + 1 for i in range(n) if self.entries[i][j]) for j in range(n)
         )
-
-    def __repr__(self) -> str:
-        return f"TransitionMatrix({[list(r) for r in self.entries]})"
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Validated square nonnegative integer matrix with no zero row or column."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.entries]})"
 
 
 @dataclass(frozen=True)
@@ -249,7 +238,7 @@ def _matmul(a, b):
     return out
 
 
-def matrix_power(mat: TransitionMatrix | IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
+def matrix_power(mat: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
     """Exact k-th power by repeated squaring over Python integers (A^0 = I)."""
     if k < 0:
         raise ValueError("power must be nonnegative")
@@ -272,6 +261,27 @@ def word_count(mat: TransitionMatrix, k: int) -> int:
         raise ValueError("word length must be >= 1")
     power = matrix_power(mat, k - 1)
     return sum(sum(row) for row in power)
+
+
+def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]:
+    """[w(k_min), ..., w(k_max)], exactly, by the recurrence w(k) = 1^T A^(k-1) 1.
+
+    v[i] counts the words of the current length that start at symbol i + 1;
+    prepending a symbol gives v'[i] = the sum of v over the successors of
+    i + 1.  That is O(k_max |E|) bigint additions for the whole sequence,
+    where squaring pays O(n^3 log k) for each single w(k).
+    """
+    if k_min < 1:
+        raise ValueError("word length must be >= 1")
+    succ = [[j - 1 for j in row] for row in mat.successors]
+    v = [1] * mat.n
+    counts = []
+    for k in range(1, k_max + 1):
+        if k >= k_min:
+            counts.append(sum(v))
+        if k < k_max:
+            v = [sum(map(v.__getitem__, row)) for row in succ]
+    return counts
 
 
 def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int):
@@ -309,8 +319,8 @@ def spectral_radius(
     the eigenvectors would not be guaranteed) and NoConvergenceError when
     the iteration budget is exhausted.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if not is_irreducible(mat):
         raise NotIrreducibleError("matrix is not irreducible")
     base = np.array(mat.entries, dtype=float)
@@ -396,6 +406,8 @@ def parse_matrix(text: str) -> list[list[int]]:
         if "rows" not in obj:
             raise MatrixError('JSON matrix file must contain a "rows" key')
         rows = obj["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise MatrixError('JSON matrix file: "rows" must be a list of lists')
         if "n" in obj and obj["n"] != len(rows):
             raise MatrixError(
                 f'JSON matrix file declares n={obj["n"]} but has {len(rows)} rows'

@@ -16,6 +16,7 @@ from .matrix import (
     MatrixError,
     NotIrreducibleError,
     TransitionMatrix,
+    _word_counts,
     spectral_radius,
     word_count,
 )
@@ -106,9 +107,9 @@ class ParryData:
 
     ``stochastic`` is the row-stochastic matrix P with P(i,j) positive
     exactly where the transition matrix is 1, and ``stationary`` is its
-    stationary probability vector.  The measure of the cylinder of a word
-    is stationary[first] times the product of the transition probabilities
-    along it.
+    stationary probability vector (``parry_measure`` checks this to 1e-10).
+    The measure of the cylinder of a word is stationary[first] times the
+    product of the transition probabilities along it.
     """
 
     radius: float
@@ -185,27 +186,21 @@ def _support(pd: ParryData) -> TransitionMatrix:
 
 def partition_entropy(pd: ParryData, n: int, cap: int = WORD_CAP) -> float:
     """Shannon entropy of the measure over the depth-n cylinder partition,
-    i.e. over all admissible words of length n."""
+    i.e. over all admissible words of length n.
+
+    By the chain rule for a stationary Markov chain this is
+    H(stationary) + (n - 1) h, with h the entropy rate (Walters, *An
+    Introduction to Ergodic Theory*, Markov shifts); ``stationary`` is
+    stationary for ``stochastic`` by ParryData's invariant.  ``cap`` still
+    bounds the number of cylinders, as for an enumeration.
+    """
     if n < 1:
         raise ValueError("partition depth must be >= 1")
-    support = _support(pd)
-    count = word_count(support, n)
+    count = word_count(_support(pd), n)
     if count > cap:
         raise TooManyWordsError(count, cap)
-    succ = support.successors
-    total = 0.0
-
-    def descend(sym: int, prob: float, depth: int):
-        nonlocal total
-        if depth == n:
-            total -= prob * math.log(prob)
-            return
-        for j in succ[sym - 1]:
-            descend(j, prob * pd.transition(sym, j), depth + 1)
-
-    for i in range(1, pd.n + 1):
-        descend(i, pd.stationary[i - 1], 1)
-    return total
+    h0 = -sum(p * math.log(p) for p in pd.stationary if p > 0.0)
+    return h0 + (n - 1) * markov_entropy(pd)
 
 
 def _fmt(x: float) -> str:
@@ -262,13 +257,7 @@ def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    counts = []
-    n = mat.n
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [list(r) for r in mat.entries]
-    for _ in range(k_max + 1):
-        counts.append(sum(sum(row) for row in power))
-        power = _incr_mul(power, base)
+    counts = _word_counts(mat, k_max + 1)
     rows = []
     for k in range(1, k_max + 1):
         wk = counts[k - 1]
@@ -286,18 +275,3 @@ def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:
     except NotIrreducibleError:
         target = None
     return ConvergenceReport(rows=tuple(rows), target=target)
-
-
-def _incr_mul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            v = arow[k]
-            if v:
-                brow = b[k]
-                for j in range(n):
-                    orow[j] += v * brow[j]
-    return out

@@ -2,6 +2,7 @@
 independent brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -87,6 +88,19 @@ def enum_count(mat, k):
         return sum(rec(j, depth + 1) for j in succ[sym - 1])
 
     return sum(rec(i, 1) for i in range(1, mat.n + 1))
+
+
+def enum_partition_entropy(pd, n):
+    """Depth-n partition entropy by explicit depth-first enumeration of the
+    admissible words, summing -mu log mu over their cylinders."""
+    succ = [[j for j, p in enumerate(row) if p > 0.0] for row in pd.stochastic]
+
+    def rec(sym, prob, depth):
+        if depth == n:
+            return -prob * math.log(prob)
+        return sum(rec(j, prob * pd.stochastic[sym][j], depth + 1) for j in succ[sym])
+
+    return sum(rec(i, p, 1) for i, p in enumerate(pd.stationary))
 
 
 def closure_strongly_connected(rows):

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from ckshift import cli
+from ckshift import cli, load_matrix, word_count
 from ckshift.cli import main
+from ckshift.sft import _fmt
 
 
 @pytest.fixture
@@ -34,6 +35,13 @@ def perm_file(tmp_path):
 def reducible_file(tmp_path):
     path = tmp_path / "red.txt"
     path.write_text("1 0\n0 1\n")
+    return str(path)
+
+
+@pytest.fixture
+def random3_file(tmp_path):
+    path = tmp_path / "random3.txt"
+    path.write_text("0 1 1\n1 0 1\n1 1 0\n")
     return str(path)
 
 
@@ -69,6 +77,27 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"rows": 5}',
+            '{"rows": null}',
+            '{"rows": [1, 2]}',
+            '{"n": 2, "rows": 7}',
+            '{"rows": "ab"}',
+            '{"rows": [[1, 1], 7]}',
+        ],
+    )
+    def test_malformed_json_rows_exit_2(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        code, out, err = run(capsys, ["validate", "--matrix", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert '"rows" must be a list of lists' in err
+        assert "Traceback" not in err
+
 
 class TestEntropy:
     def test_golden_routes_agree(self, capsys, golden_file):
@@ -100,6 +129,11 @@ class TestEntropy:
         assert payload["log_radius"] is None
         assert payload["markov_entropy"] is None
         assert "not irreducible" in err
+
+    def test_nan_tolerance_exits_2_at_once(self, capsys, golden_file):
+        code, out, err = run(capsys, ["entropy", "--matrix", golden_file, "--tol", "nan"])
+        assert (code, out) == (2, "")
+        assert err == "error: tolerance must be positive and finite\n"
 
     def test_bits_base_divides_by_log2(self, capsys, full2_file):
         code, nat_out, _ = run(capsys, ["entropy", "--matrix", full2_file, "--format", "json"])
@@ -215,6 +249,29 @@ class TestConvergence:
         code, _, err = run(capsys, ["convergence", "--matrix", golden_file, "--k-max", "1"])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("n0", [0, 1, 2, 5])
+    def test_witness_column_is_word_count_at_k_plus_n0(self, capsys, random3_file, n0):
+        mat = load_matrix(random3_file)
+        code, out, err = run(
+            capsys,
+            [
+                "convergence", "--matrix", random3_file,
+                "--k-max", "12", "--n0", str(n0), "--format", "json",
+            ],
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [r["k"] for r in rows] == list(range(1, 13))
+        for r in rows:
+            assert r["witness"] == _fmt(math.log(word_count(mat, r["k"] + n0)) / r["k"])
+
+    @pytest.mark.parametrize("n0", [-1, -5])
+    def test_negative_n0_exits_2(self, capsys, golden_file, n0):
+        code, out, err = run(
+            capsys, ["convergence", "--matrix", golden_file, "--n0", str(n0)]
+        )
+        assert (code, out, err) == (2, "", "error: word length must be >= 1\n")
 
 
 class TestVerifyCommands:

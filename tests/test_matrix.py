@@ -6,6 +6,7 @@ import pytest
 
 from ckshift import (
     EntryOutOfRangeError,
+    IntMatrix,
     NoConvergenceError,
     NotIrreducibleError,
     NotSquareError,
@@ -68,6 +69,13 @@ class TestValidate:
     def test_bool_rejected(self):
         with pytest.raises(EntryOutOfRangeError):
             validate([[True, 1], [1, 0]])
+
+    def test_reprs(self):
+        assert repr(validate([[1, 1], [1, 0]])) == "TransitionMatrix([[1, 1], [1, 0]])"
+        assert repr(validate_int([[0, 2], [1, 0]])) == "IntMatrix([[0, 2], [1, 0]])"
+
+    def test_transition_matrix_is_int_matrix(self, golden_mean):
+        assert isinstance(golden_mean, IntMatrix)
 
     def test_int_matrix(self):
         mat = validate_int([[0, 2], [1, 0]])
@@ -190,6 +198,13 @@ class TestSpectralRadius:
     def test_bad_tolerance(self, golden_mean):
         with pytest.raises(ValueError):
             spectral_radius(golden_mean, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance(self, golden_mean, tol):
+        # inf used to stop after 2 iterations at radius 1.5; nan ran out
+        # the whole iteration budget
+        with pytest.raises(ValueError, match="finite"):
+            spectral_radius(golden_mean, tol=tol)
 
 
 class TestDual:

@@ -17,7 +17,7 @@ from ckshift import (
     word_count,
 )
 
-from conftest import product_count, random_irreducible, seeded
+from conftest import enum_partition_entropy, product_count, random_irreducible, seeded
 
 PHI = (1 + math.sqrt(5)) / 2
 LOG_PHI = math.log(PHI)
@@ -188,6 +188,21 @@ class TestPartitionEntropy:
         pd = parry_measure(full2)
         with pytest.raises(TooManyWordsError):
             partition_entropy(pd, 12, cap=100)
+
+    def test_against_enumeration(self, golden_mean, full3, random3):
+        rng = seeded(203)
+        mats = [golden_mean, full3, random3]
+        mats += [random_irreducible(rng, rng.randrange(3, 6)) for _ in range(3)]
+        for mat in mats:
+            pd = parry_measure(mat)
+            for n in range(1, 13):
+                want = enum_partition_entropy(pd, n)
+                assert partition_entropy(pd, n) == pytest.approx(want, rel=1e-9)
+
+    def test_deep_cycle_without_recursion(self, perm2):
+        # far past the interpreter's default recursion limit of 1000
+        pd = parry_measure(perm2)
+        assert abs(partition_entropy(pd, 2000) - math.log(2)) <= 1e-12
 
 
 class TestEntropyEstimates:
