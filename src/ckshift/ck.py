@@ -15,12 +15,14 @@ linearly independent, which is what makes the equality decision procedure
 (split by gauge degree, refine to a common right depth, compare coefficient
 maps) sound.
 
-The zero-one witness blocks for the embedding identities are partial
-permutation matrices, so the verifier stores each one as the set of its
-(row, column) units and compares only the cells that are nonzero on either
-side; ``witness_blocks`` is a dense numpy view of the same units.  The
-finite-dimensional block picture of the degree-zero part uses exact
-Fractions.
+A block matrix stores only its nonzero cells, keyed by (row, column) word
+index; ``entries`` is a dense view built on access.  Products, adjoints and
+comparisons visit the stored cells alone, and the witness verifier compares
+the block embedding with the witness side through the same comparison.  The
+zero-one witness blocks are partial permutation matrices, kept as the sets
+of their (row, column) units; ``witness_blocks`` is a dense numpy view of
+them.  The finite-dimensional block picture of the degree-zero part uses
+exact Fractions.
 """
 
 from __future__ import annotations
@@ -253,7 +255,18 @@ class CuntzKriegerAlgebra:
     # -- constructors ------------------------------------------------------
 
     def element(self, terms: dict) -> CKElement:
-        return CKElement(self, {m: Fraction(c) for m, c in terms.items()})
+        """The sum of c * S_left S_right* over ``terms``, a dict {(left, right): c}.
+
+        Each key goes through the same checks and zero identification as
+        ``monomial``: keys that vanish in the algebra are dropped, and the
+        coefficients of keys that coincide are added up.
+        """
+        acc: dict[Monomial, Fraction] = {}
+        for (left, right), c in terms.items():
+            m = self._mono(self._check_word(left), self._check_word(right))
+            if m is not None:
+                acc[m] = acc.get(m, 0) + Fraction(c)
+        return CKElement(self, acc)
 
     def monomial(self, left, right, coeff=1) -> CKElement:
         """coeff * S_left S_right*; the zero element when the monomial
@@ -287,6 +300,12 @@ class CuntzKriegerAlgebra:
         Raises InadmissibleWordError when alpha or beta is inadmissible;
         returns the zero element when an adjacency factor vanishes.
         """
+        a, b = self._generator_words(alpha, i, beta)
+        return self.monomial(a + (i,), b + (i,))
+
+    def _generator_words(self, alpha, i: int, beta) -> tuple[Word, Word]:
+        """alpha and beta as words, checked for S_alpha P_i S_beta*: every
+        symbol (i too) in range, and alpha and beta admissible."""
         a = self._check_word(alpha)
         b = self._check_word(beta)
         self._check_word((i,))
@@ -294,11 +313,7 @@ class CuntzKriegerAlgebra:
             raise InadmissibleWordError(f"alpha {a} is not admissible")
         if not self._admissible(b):
             raise InadmissibleWordError(f"beta {b} is not admissible")
-        if a and not self._rows[a[-1] - 1][i - 1]:
-            return self.zero
-        if b and not self._rows[b[-1] - 1][i - 1]:
-            return self.zero
-        return CKElement(self, {Monomial(a + (i,), b + (i,)): Fraction(1)})
+        return a, b
 
     # -- multiplication ----------------------------------------------------
 
@@ -320,15 +335,7 @@ class CuntzKriegerAlgebra:
                 if m is not None:
                     yield m
                 return
-            rows = self._rows
-            lt = mu[-1] - 1 if mu else None
-            rt = be[-1] - 1 if be else None
-            for j in self._succ[nu[-1] - 1]:
-                if lt is not None and not rows[lt][j - 1]:
-                    continue
-                if rt is not None and not rows[rt][j - 1]:
-                    continue
-                yield Monomial(mu + (j,), be + (j,))
+            yield from self._extend(mu, be, self._succ[nu[-1] - 1])
         elif len(al) > len(nu) and al[: len(nu)] == nu:
             m = self._mono(mu + al[len(nu) :], be)
             if m is not None:
@@ -349,12 +356,13 @@ class CuntzKriegerAlgebra:
 
     # -- refinement and equality -------------------------------------------
 
-    def _refine_step(self, mono: Monomial) -> Iterator[Monomial]:
-        mu, nu = mono
+    def _extend(self, mu: Word, nu: Word, symbols) -> Iterator[Monomial]:
+        """S_{mu j} S_{nu j}* for each j in ``symbols`` that may follow both
+        mu and nu (an empty word allows every symbol)."""
         rows = self._rows
         lt = mu[-1] - 1 if mu else None
         rt = nu[-1] - 1 if nu else None
-        for j in range(1, self.n + 1):
+        for j in symbols:
             if lt is not None and not rows[lt][j - 1]:
                 continue
             if rt is not None and not rows[rt][j - 1]:
@@ -363,13 +371,14 @@ class CuntzKriegerAlgebra:
 
     def _refine_terms(self, terms: dict, depth: int) -> dict:
         acc: dict[Monomial, Fraction] = {}
+        symbols = range(1, self.n + 1)
         stack = list(terms.items())
         while stack:
             mono, coeff = stack.pop()
             if len(mono.right) == depth:
                 acc[mono] = acc.get(mono, 0) + coeff
             else:
-                for deeper in self._refine_step(mono):
+                for deeper in self._extend(mono.left, mono.right, symbols):
                     stack.append((deeper, coeff))
         return {m: c for m, c in acc.items() if c}
 
@@ -414,23 +423,12 @@ class CuntzKriegerAlgebra:
 
     def block_embedding(self, m: int, x: CKElement, cap: int = WORD_CAP) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
-        to S_mu* x S_nu; a *-homomorphism into the block algebra."""
-        cells = self._embedding_cells(m, x, cap=cap)
-        index = self.words(m, cap=cap)
-        w = len(index)
-        entries = tuple(
-            tuple(cells.get((r, c), self.zero) for c in range(w)) for r in range(w)
-        )
-        return BlockMatrix(self, m, index, entries)
-
-    def _embedding_cells(self, m: int, x: CKElement, cap: int = WORD_CAP) -> dict:
-        """The nonzero entries {(row, col): S_mu* x S_nu} of the depth-m
-        block embedding, keyed by word index.
+        to S_mu* x S_nu; a *-homomorphism into the block algebra.
 
         S_mu* S_a S_b* S_nu can be nonzero only when mu is prefix-comparable
         with a and nu with b, so only the rows reached from the left words of
         x, and in each row only the columns reached from the right words of
-        S_mu* x, are multiplied out.
+        S_mu* x, are multiplied out; the nonzero ones are the stored cells.
         """
         if m < 1:
             raise ValueError("block depth must be >= 1")
@@ -446,10 +444,8 @@ class CuntzKriegerAlgebra:
             for mono in left.terms:
                 cols.update(prefixes.get(mono.right[:m], ()))
             for c in sorted(cols):
-                entry = left * self.s(index[c])
-                if not entry.is_zero:
-                    cells[r, c] = entry
-        return cells
+                cells[r, c] = left * self.s(index[c])
+        return BlockMatrix(self, m, index, cells)
 
     # -- witness blocks for the embedding identities -------------------------
 
@@ -492,13 +488,7 @@ class CuntzKriegerAlgebra:
     def _witness_units(self, alpha, beta, i: int, l: int, m: int, cap: int = WORD_CAP) -> dict:
         """The witness blocks of ``witness_blocks``, each as the set of its
         (row, col) matrix units, keyed (and ordered) the same way."""
-        a = self._check_word(alpha)
-        b = self._check_word(beta)
-        self._check_word((i,))
-        if not self._admissible(a):
-            raise InadmissibleWordError(f"alpha {a} is not admissible")
-        if not self._admissible(b):
-            raise InadmissibleWordError(f"beta {b} is not admissible")
+        a, b = self._generator_words(alpha, i, beta)
         if len(b) > len(a):
             raise WitnessPreconditionError(
                 f"|beta| = {len(b)} exceeds |alpha| = {len(a)}"
@@ -585,63 +575,71 @@ class CuntzKriegerAlgebra:
 
 class BlockMatrix:
     """Square matrix over the symbolic algebra, indexed by the admissible
-    words of a fixed length."""
+    words of a fixed length.
 
-    __slots__ = ("algebra", "depth", "index", "entries")
+    Only the nonzero cells are stored, as a dict {(row, col): element} keyed
+    by word index; cells left out are zero.  ``entries`` is a read-only
+    dense view (a tuple of rows), built on each access.
+    """
 
-    def __init__(self, algebra, depth, index, entries):
+    __slots__ = ("algebra", "depth", "index", "_cells")
+
+    def __init__(self, algebra, depth, index, cells: dict):
         self.algebra = algebra
         self.depth = depth
         self.index = index
-        self.entries = entries
+        self._cells = {key: x for key, x in cells.items() if x.terms}
+
+    @property
+    def entries(self) -> tuple:
+        zero = self.algebra.zero
+        cells = self._cells
+        w = len(self.index)
+        return tuple(tuple(cells.get((r, c), zero) for c in range(w)) for r in range(w))
 
     def entry(self, row_word, col_word) -> CKElement:
         r = self.index.index(tuple(row_word))
         c = self.index.index(tuple(col_word))
-        return self.entries[r][c]
+        return self._cells.get((r, c), self.algebra.zero)
 
     def __mul__(self, other):
         if not isinstance(other, BlockMatrix):
             return NotImplemented
         if self.algebra is not other.algebra or self.index != other.index:
             raise ValueError("block matrices are not over the same index")
-        w = len(self.index)
         alg = self.algebra
-        out = []
-        for i in range(w):
-            acc_row = [dict() for _ in range(w)]
-            for k in range(w):
-                a = self.entries[i][k]
-                if not a.terms:
-                    continue
-                for j in range(w):
-                    b = other.entries[k][j]
-                    if not b.terms:
-                        continue
-                    prod = alg._multiply(a, b)
-                    acc = acc_row[j]
-                    for mono, c in prod.terms.items():
-                        acc[mono] = acc.get(mono, 0) + c
-            out.append(tuple(CKElement(alg, acc) for acc in acc_row))
-        return BlockMatrix(self.algebra, self.depth, self.index, tuple(out))
+        right_rows: dict[int, list] = {}
+        for (k, j), b in other._cells.items():
+            right_rows.setdefault(k, []).append((j, b))
+        acc: dict[tuple[int, int], dict] = {}
+        for (i, k), a in self._cells.items():
+            for j, b in right_rows.get(k, ()):
+                cell = acc.setdefault((i, j), {})
+                for mono, c in alg._multiply(a, b).terms.items():
+                    cell[mono] = cell.get(mono, 0) + c
+        cells = {key: CKElement(alg, terms) for key, terms in acc.items()}
+        return BlockMatrix(alg, self.depth, self.index, cells)
 
     def adjoint(self) -> "BlockMatrix":
-        w = len(self.index)
-        out = tuple(
-            tuple(self.entries[c][r].adjoint() for c in range(w)) for r in range(w)
-        )
-        return BlockMatrix(self.algebra, self.depth, self.index, out)
+        cells = {(c, r): x.adjoint() for (r, c), x in self._cells.items()}
+        return BlockMatrix(self.algebra, self.depth, self.index, cells)
+
+    def _mismatches(self, other: "BlockMatrix") -> Iterator[tuple[int, int]]:
+        """The (row, col) cells where the two matrices differ in the
+        algebra, in row-major order.  Only a cell stored on one side or the
+        other can differ: every other cell is zero on both."""
+        zero = self.algebra.zero
+        equal = self.algebra.equal
+        mine, theirs = self._cells, other._cells
+        for key in sorted(mine.keys() | theirs.keys()):
+            if not equal(mine.get(key, zero), theirs.get(key, zero)):
+                yield key
 
     def equals(self, other: "BlockMatrix") -> bool:
         """Entrywise equality in the algebra."""
         if self.algebra is not other.algebra or self.index != other.index:
             return False
-        alg = self.algebra
-        return all(
-            alg.equal(a, b)
-            for row_a, row_b in zip(self.entries, other.entries)
-            for a, b in zip(row_a, row_b)
-        )
+        return next(self._mismatches(other), None) is None
 
 
 class BlockDiagonal:
@@ -804,9 +802,9 @@ def verify_witness_decomposition(
     every shift power l < n, the left side is computed symbolically through
     the embedding at depth m = n + n0 and compared entrywise with the sum of
     witness blocks tensored with S_mu (or with Q_j); every witness block is
-    additionally checked to be a partial isometry.  Only the cells that are
-    nonzero on one side or the other are compared, in row-major order: every
-    other cell is zero on both.  Failures are reported in deterministic
+    additionally checked to be a partial isometry.  Both sides are sparse
+    block matrices, compared cell by cell in row-major order over the cells
+    stored on either side.  Failures are reported in deterministic
     generator-then-power order.
 
     ``inject_fault`` removes one matrix unit (the first in row-major order)
@@ -842,30 +840,27 @@ def verify_witness_decomposition(
                                 units.remove(min(units))
                                 injected = True
                                 break
-                    lhs = alg._embedding_cells(m, alg.shift(gen, l), cap=cap)
-                    rhs_terms: dict[tuple[int, int], dict] = {}
+                    lhs = alg.block_embedding(m, alg.shift(gen, l), cap=cap)
+                    rhs_cells: dict[tuple[int, int], CKElement] = {}
                     for key, units in blocks.items():
                         piece = (
                             alg.s(key) if isinstance(key, tuple) else alg.q(key)
                         )
                         for cell in units:
-                            acc = rhs_terms.setdefault(cell, {})
-                            for mono, coeff in piece.terms.items():
-                                acc[mono] = acc.get(mono, 0) + coeff
-                    for r, c in sorted(lhs.keys() | rhs_terms.keys()):
-                        rhs = CKElement(alg, rhs_terms.get((r, c), {}))
-                        if not alg.equal(lhs.get((r, c), alg.zero), rhs):
-                            failures.append(
-                                {
-                                    "alpha": list(alpha),
-                                    "beta": list(beta),
-                                    "i": i,
-                                    "l": l,
-                                    "kind": "entry_mismatch",
-                                    "row": list(index[r]),
-                                    "col": list(index[c]),
-                                }
-                            )
+                            rhs_cells[cell] = rhs_cells.get(cell, alg.zero) + piece
+                    rhs = BlockMatrix(alg, m, index, rhs_cells)
+                    for r, c in lhs._mismatches(rhs):
+                        failures.append(
+                            {
+                                "alpha": list(alpha),
+                                "beta": list(beta),
+                                "i": i,
+                                "l": l,
+                                "kind": "entry_mismatch",
+                                "row": list(index[r]),
+                                "col": list(index[c]),
+                            }
+                        )
                     for key, units in blocks.items():
                         if not _is_partial_permutation(units):
                             failures.append(

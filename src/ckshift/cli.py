@@ -28,9 +28,9 @@ from .matrix import (
     is_permutation,
     load_int_matrix,
     load_matrix,
-    spectral_radius,
 )
 from .sft import (
+    _estimate_rows,
     _fmt,
     entropy_estimates,
     enumerate_words,
@@ -47,15 +47,6 @@ def _emit_json(obj) -> None:
 
 def _warn(message: str) -> None:
     sys.stderr.write(f"warning: {message}\n")
-
-
-def _hypothesis_warnings(mat) -> list[str]:
-    out = []
-    if not is_irreducible(mat):
-        out.append("matrix is not irreducible")
-    if is_permutation(mat):
-        out.append("matrix is a permutation")
-    return out
 
 
 def _reject_csv(args) -> None:
@@ -87,17 +78,20 @@ def _cmd_validate(args) -> int:
 def _cmd_entropy(args) -> int:
     _reject_csv(args)
     mat = load_matrix(args.matrix)
-    warnings = _hypothesis_warnings(mat)
+    irreducible = is_irreducible(mat)
+    warnings = [] if irreducible else ["matrix is not irreducible"]
+    if is_permutation(mat):
+        warnings.append("matrix is a permutation")
     for w in warnings:
         _warn(w)
     scale = _scale(args.base)
     k = args.k_max
-    report = entropy_estimates(mat, k)
-    last = report.rows[-1]
+    last = _estimate_rows(mat, k)[-1]
     log_radius = markov = None
-    if is_irreducible(mat):
-        log_radius = math.log(spectral_radius(mat, args.tol).radius) / scale
-        markov = markov_entropy(parry_measure(mat, args.tol)) / scale
+    if irreducible:
+        pd = parry_measure(mat, args.tol)
+        log_radius = math.log(pd.radius) / scale
+        markov = markov_entropy(pd) / scale
     ratio = last.ratio / scale
     growth = last.growth / scale
     if args.format == "json":

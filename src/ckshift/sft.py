@@ -255,6 +255,16 @@ def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:
     only at rate O(log k / k), the ratio form geometrically for primitive
     matrices.  Counts are exact integers, so arbitrarily large k is safe.
     """
+    rows = _estimate_rows(mat, k_max)
+    try:
+        target = math.log(spectral_radius(mat).radius)
+    except NotIrreducibleError:
+        target = None
+    return ConvergenceReport(rows=rows, target=target)
+
+
+def _estimate_rows(mat: TransitionMatrix, k_max: int) -> tuple[ConvergenceRow, ...]:
+    """The rows of ``entropy_estimates``, without its target."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     counts = _word_counts(mat, k_max + 1)
@@ -270,8 +280,4 @@ def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:
                 ratio=math.log(wk1) - math.log(wk),
             )
         )
-    try:
-        target = math.log(spectral_radius(mat).radius)
-    except NotIrreducibleError:
-        target = None
-    return ConvergenceReport(rows=tuple(rows), target=target)
+    return tuple(rows)

@@ -1,20 +1,24 @@
-"""Dense reference for the witness verifier.
+"""Dense reference for the witness verifier and the block matrices.
 
 The verifier as it stood before it went sparse: dense w x w int64 witness
 blocks, the block embedding multiplied out in every one of its w^2 cells,
 ``alg.equal`` on every cell, and the partial-isometry check as the matrix
-identity B B^T B = B.  It shares no code with the sparse helpers in
-``ck.py`` (witness units, embedding cells, prefix ranges), so agreement of
-the two reports is an independent check of them.
+identity B B^T B = B.  Block matrices here are dense grids (a tuple of row
+tuples of elements), multiplied by the loop over all w^3 index triples that
+``BlockMatrix`` used before it stored only its nonzero cells.  None of this
+shares code with the sparse paths in ``ck.py`` (witness units, the pruned
+block embedding, prefix ranges, stored cells), so agreement of the two is
+an independent check of them.
 """
 
 import numpy as np
 
-from ckshift.ck import BlockMatrix, CKElement, VerificationReport
+from ckshift.ck import CKElement, VerificationReport
 
 
 def dense_block_embedding(alg, m, x):
-    """Entry (mu, nu) = S_mu* x S_nu, multiplied out for every cell."""
+    """The grid with entry (mu, nu) = S_mu* x S_nu, multiplied out for every
+    cell."""
     index = alg.words(m)
     rights = [alg.s(wd) for wd in index]
     zero_row = (alg.zero,) * len(index)
@@ -25,7 +29,43 @@ def dense_block_embedding(alg, m, x):
             entries.append(zero_row)
         else:
             entries.append(tuple(left * r for r in rights))
-    return BlockMatrix(alg, m, index, tuple(entries))
+    return tuple(entries)
+
+
+def dense_product(alg, left, right):
+    """Product of two w x w grids, summing over every index triple."""
+    w = len(left)
+    out = []
+    for i in range(w):
+        acc_row = [dict() for _ in range(w)]
+        for k in range(w):
+            a = left[i][k]
+            if not a.terms:
+                continue
+            for j in range(w):
+                b = right[k][j]
+                if not b.terms:
+                    continue
+                prod = alg._multiply(a, b)
+                acc = acc_row[j]
+                for mono, c in prod.terms.items():
+                    acc[mono] = acc.get(mono, 0) + c
+        out.append(tuple(CKElement(alg, acc) for acc in acc_row))
+    return tuple(out)
+
+
+def dense_adjoint(grid):
+    w = len(grid)
+    return tuple(tuple(grid[c][r].adjoint() for c in range(w)) for r in range(w))
+
+
+def dense_equals(alg, left, right):
+    """Entrywise equality in the algebra, ``alg.equal`` on every cell."""
+    return all(
+        alg.equal(a, b)
+        for row_a, row_b in zip(left, right)
+        for a, b in zip(row_a, row_b)
+    )
 
 
 def dense_witness_blocks(alg, alpha, beta, i, l, m):
@@ -113,7 +153,7 @@ def verify_witness_decomposition_dense(alg, n0, n, inject_fault=False):
                                 if rhs_terms[r][c] is None
                                 else CKElement(alg, rhs_terms[r][c])
                             )
-                            if not alg.equal(lhs.entries[r][c], rhs):
+                            if not alg.equal(lhs[r][c], rhs):
                                 failures.append(
                                     {
                                         "alpha": list(alpha),

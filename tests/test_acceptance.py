@@ -178,12 +178,13 @@ def test_08_block_embedding_homomorphism():
             assert lhs.equals(alg.block_embedding(m, x * y))
         for depth in range(1, m + 1):
             bm = alg.block_embedding(depth, alg.identity)
+            entries = bm.entries
             for r, row_word in enumerate(bm.index):
                 for c in range(len(bm.index)):
                     if r == c:
-                        assert bm.entries[r][c] == alg.q(row_word[-1])
+                        assert entries[r][c] == alg.q(row_word[-1])
                     else:
-                        assert bm.entries[r][c].is_zero
+                        assert entries[r][c].is_zero
     report(8, "block embedding is a *-homomorphism with diagonal unit image", time.perf_counter() - start, 30)
 
 

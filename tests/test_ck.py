@@ -48,6 +48,25 @@ class TestConstruction:
         assert golden_alg.q(1) == golden_alg.p(1) + golden_alg.p(2)
         assert golden_alg.q(2) == golden_alg.p(1)
 
+    def test_element_identifies_zero_monomials(self, golden_alg):
+        # S_2 S_2 is zero in the algebra; equal is sound only if it is dropped
+        x = golden_alg.element({Monomial((2, 2), ()): 1})
+        assert x.is_zero
+        assert golden_alg.equal(x, golden_alg.zero)
+        assert golden_alg.equal(golden_alg.s((2, 2)), x)
+        # S_1 S_2* vanishes here too: rows 1 and 2 share no successor
+        alg = CuntzKriegerAlgebra(validate([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))
+        assert alg.element({((1,), (2,)): 3}).is_zero
+
+    def test_element_checks_symbols_and_adds_coinciding_keys(self, golden_alg):
+        with pytest.raises(SymbolOutOfRangeError):
+            golden_alg.element({((5,), ()): 1})
+        # range(1, 2) and (1,) are different keys for the same word
+        x = golden_alg.element({((1,), ()): Fraction(1, 2), (range(1, 2), ()): Fraction(1, 2)})
+        assert x == golden_alg.s((1,))
+        y = golden_alg.element({((1,), ()): 1, (range(1, 2), ()): -1, ((2,), (2,)): 2})
+        assert y.terms == {Monomial((2,), (2,)): Fraction(2)}
+
 
 class TestGenerator:
     def test_bare_projection(self, golden_alg):
@@ -218,9 +237,10 @@ class TestShift:
 class TestBlockEmbedding:
     def test_full2_matrix_unit(self, full2_alg):
         bm = full2_alg.block_embedding(1, full2_alg.monomial((1,), (2,)))
+        entries = bm.entries
         for r, row_word in enumerate(bm.index):
             for c, col_word in enumerate(bm.index):
-                entry = bm.entries[r][c]
+                entry = entries[r][c]
                 if (row_word, col_word) == ((1,), (2,)):
                     assert full2_alg.equal(entry, full2_alg.identity)
                 else:
@@ -230,9 +250,10 @@ class TestBlockEmbedding:
         for alg in (golden_alg, full2_alg, random3_alg):
             for m in (1, 2, 3):
                 bm = alg.block_embedding(m, alg.identity)
+                entries = bm.entries
                 for r, row_word in enumerate(bm.index):
                     for c, col_word in enumerate(bm.index):
-                        entry = bm.entries[r][c]
+                        entry = entries[r][c]
                         if r == c:
                             assert alg.equal(entry, alg.q(row_word[-1]))
                         else:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ckshift import cli, load_matrix, word_count
+from ckshift import cli, load_matrix, matrix, sft, word_count
 from ckshift.cli import main
 from ckshift.sft import _fmt
 
@@ -129,6 +129,26 @@ class TestEntropy:
         assert payload["log_radius"] is None
         assert payload["markov_entropy"] is None
         assert "not irreducible" in err
+
+    def test_perron_data_computed_once(self, capsys, monkeypatch, golden_file):
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module in (matrix, sft, cli):
+            for name in ("spectral_radius", "is_irreducible"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, _, _ = run(capsys, ["entropy", "--matrix", golden_file])
+        assert code == 0
+        # one Perron computation; irreducibility once in the command and
+        # once inside that computation
+        assert sorted(calls) == ["is_irreducible", "is_irreducible", "spectral_radius"]
 
     def test_nan_tolerance_exits_2_at_once(self, capsys, golden_file):
         code, out, err = run(capsys, ["entropy", "--matrix", golden_file, "--tol", "nan"])

@@ -1,13 +1,14 @@
-"""The sparse witness verifier against the dense reference in
-``dense_witness_oracle``: byte-identical reports, and the public dense views
-(``witness_blocks``, ``block_embedding``) unchanged."""
+"""The sparse witness verifier and the sparse block matrices against the
+dense reference in ``dense_witness_oracle``: byte-identical reports, the
+public dense views (``witness_blocks``, ``BlockMatrix.entries``) unchanged,
+and products, adjoints and comparisons that agree with the dense forms."""
 
 import json
 
 import numpy as np
 import pytest
 
-from ckshift import CuntzKriegerAlgebra, validate, verify_witness_decomposition
+from ckshift import BlockMatrix, CuntzKriegerAlgebra, validate, verify_witness_decomposition
 from ckshift.ck import _is_partial_permutation
 
 from conftest import (
@@ -20,7 +21,10 @@ from conftest import (
     seeded,
 )
 from dense_witness_oracle import (
+    dense_adjoint,
     dense_block_embedding,
+    dense_equals,
+    dense_product,
     dense_witness_blocks,
     verify_witness_decomposition_dense,
 )
@@ -95,9 +99,8 @@ def test_block_embedding_matches_dense_oracle(algebras):
         for x in elements:
             for m in (1, 2, 3):
                 got = alg.block_embedding(m, x)
-                want = dense_block_embedding(alg, m, x)
-                assert got.index == want.index
-                assert got.entries == want.entries
+                assert got.index == alg.words(m)
+                assert got.entries == dense_block_embedding(alg, m, x)
 
 
 def test_embedding_cells_are_the_nonzero_entries(algebras):
@@ -106,13 +109,67 @@ def test_embedding_cells_are_the_nonzero_entries(algebras):
         for _ in range(8):
             x = random_monomial(alg, rng) + random_monomial(alg, rng)
             dense = dense_block_embedding(alg, 3, x)
-            cells = alg._embedding_cells(3, x)
+            cells = alg.block_embedding(3, x)._cells
             nonzero = {
                 (r, c)
-                for r, row in enumerate(dense.entries)
+                for r, row in enumerate(dense)
                 for c, entry in enumerate(row)
                 if not entry.is_zero
             }
             assert set(cells) == nonzero
             for (r, c), entry in cells.items():
-                assert entry == dense.entries[r][c]
+                assert entry == dense[r][c]
+
+
+SMALL = ("golden", "full2", "random3")
+
+
+def test_product_adjoint_and_equals_match_dense_oracle(algebras):
+    rng = seeded(4242)
+    for name in SMALL:
+        alg = algebras[name]
+        for m in (1, 2, 3):
+            for _ in range(4):
+                x = random_monomial(alg, rng, max_len=2)
+                x = x + random_degree_zero(alg, rng, max_depth=2, terms=2)
+                y = random_monomial(alg, rng, max_len=2)
+                y = y + random_monomial(alg, rng, max_len=2)
+                bx, by = alg.block_embedding(m, x), alg.block_embedding(m, y)
+                dx, dy = dense_block_embedding(alg, m, x), dense_block_embedding(alg, m, y)
+                assert (bx * by).entries == dense_product(alg, dx, dy)
+                assert bx.adjoint().entries == dense_adjoint(dx)
+                for left, right in ((bx, by), (bx * by, alg.block_embedding(m, x * y))):
+                    assert left.equals(right) == dense_equals(alg, left.entries, right.entries)
+
+
+def _block(alg, cells):
+    return BlockMatrix(alg, 1, alg.words(1), cells)
+
+
+def test_equals_with_a_cell_stored_on_one_side(algebras):
+    alg = algebras["golden"]
+    one_side = _block(alg, {(0, 1): alg.p(1)})
+    empty = _block(alg, {})
+    assert not one_side.equals(empty)
+    assert not empty.equals(one_side)
+    both = _block(alg, {(0, 1): alg.p(1), (1, 0): alg.p(2)})
+    assert not one_side.equals(both)
+    assert not both.equals(one_side)
+    assert both.equals(_block(alg, {(1, 0): alg.p(2), (0, 1): alg.p(1)}))
+
+
+def test_equals_with_a_stored_cell_that_is_zero_in_the_algebra(algebras):
+    for name in SMALL:
+        alg = algebras[name]
+        vanishing = -alg.identity  # p(1) + ... + p(n) - 1
+        for j in range(1, alg.n + 1):
+            vanishing = vanishing + alg.p(j)
+        assert vanishing.terms and alg.equal(vanishing, alg.zero)
+        stored = _block(alg, {(0, 0): vanishing})
+        assert (0, 0) in stored._cells
+        empty = _block(alg, {})
+        assert stored.equals(empty)
+        assert empty.equals(stored)
+        other = _block(alg, {(0, 0): vanishing, (1, 1): alg.p(1)})
+        assert not stored.equals(other)
+        assert not other.equals(stored)
