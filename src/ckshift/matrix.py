@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -255,12 +256,40 @@ def matrix_power(mat: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in result)
 
 
+def _matvec(a, v):
+    """Exact integer product of a list-of-list matrix and a vector."""
+    return [sum(map(operator.mul, row, v)) for row in a]
+
+
+def _power_vector(mat: IntMatrix, e: int) -> list[int]:
+    """A^e 1, exactly, by binary powering that never forms A^e.
+
+    The squares A^(2^b) are formed as in ``matrix_power``, but each set bit
+    of e applies its square to the n-vector, n^2 products where a matrix
+    product costs n^3.  The top bit applies the square below it twice, so
+    the largest square, whose entries are the longest, is never formed.
+    """
+    v = [1] * mat.n
+    if e == 0:
+        return v
+    base = [list(r) for r in mat.entries]
+    top = e.bit_length() - 1
+    for b in range(top):
+        if b:
+            base = _matmul(base, base)
+        if e >> b & 1:
+            v = _matvec(base, v)
+    for _ in range(2 if top else 1):
+        v = _matvec(base, v)
+    return v
+
+
 def word_count(mat: TransitionMatrix, k: int) -> int:
-    """Number of admissible words of length k, exactly (sum of entries of A^(k-1))."""
+    """Number of admissible words of length k, exactly: the entry sum
+    1^T A^(k-1) 1, with A^(k-1) 1 by binary powering on the vector."""
     if k < 1:
         raise ValueError("word length must be >= 1")
-    power = matrix_power(mat, k - 1)
-    return sum(sum(row) for row in power)
+    return sum(_power_vector(mat, k - 1))
 
 
 def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]:
@@ -268,17 +297,17 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
 
     v[i] counts the words of the current length that start at symbol i + 1;
     prepending a symbol gives v'[i] = the sum of v over the successors of
-    i + 1.  That is O(k_max |E|) bigint additions for the whole sequence,
-    where squaring pays O(n^3 log k) for each single w(k).
+    i + 1.  The vector starts at A^(k_min-1) 1 by binary powering, so a deep
+    k_min costs O(n^3 log k_min) rather than a walk through every shorter
+    length; each further length costs O(|E|) bigint additions.
     """
     if k_min < 1:
         raise ValueError("word length must be >= 1")
     succ = [[j - 1 for j in row] for row in mat.successors]
-    v = [1] * mat.n
+    v = _power_vector(mat, k_min - 1)
     counts = []
-    for k in range(1, k_max + 1):
-        if k >= k_min:
-            counts.append(sum(v))
+    for k in range(k_min, k_max + 1):
+        counts.append(sum(v))
         if k < k_max:
             v = [sum(map(v.__getitem__, row)) for row in succ]
     return counts
@@ -289,18 +318,24 @@ def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int):
 
     Returns (eigenvalue, vector summing to 1, residual, iterations).  The
     eigenvalue estimate is the midpoint of the componentwise ratio bounds,
-    which bracket the true Perron root at every step.
+    which bracket the true Perron root at every step.  One product m @ v per
+    step: the product that measures a step's residual is the next step's
+    w, and the residual is only computed once the bracket is within tol.
     """
     n = m.shape[0]
     v = np.full(n, 1.0 / n)
+    w = m @ v
     for it in range(1, max_iterations + 1):
-        w = m @ v
         ratios = w / v
-        lam = 0.5 * (float(ratios.min()) + float(ratios.max()))
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        lam = 0.5 * (lo + hi)
         v = w / w.sum()
-        residual = float(np.abs(m @ v - lam * v).max())
-        if float(ratios.max() - ratios.min()) <= tol and residual <= tol:
-            return lam, v, residual, it
+        w = m @ v
+        if hi - lo <= tol:
+            residual = float(np.abs(w - lam * v).max())
+            if residual <= tol:
+                return lam, v, residual, it
     raise NoConvergenceError(max_iterations)
 
 

@@ -24,14 +24,19 @@ from ckshift import (
     witness_dimension,
     word_count,
 )
-from ckshift.matrix import MatrixError, parse_matrix
+from ckshift.matrix import MatrixError, _perron_iterate, _word_counts, parse_matrix
 
 from conftest import (
+    FULL3_ROWS,
+    GOLDEN_ROWS,
+    PERM2_ROWS,
     closure_strongly_connected,
     random_irreducible,
     random_transition_rows,
     seeded,
+    sparse_irreducible,
 )
+from perron_oracle import perron_iterate
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -158,6 +163,27 @@ class TestWordCount:
         with pytest.raises(ValueError):
             word_count(golden_mean, 0)
 
+    def test_against_matrix_power(self):
+        # every bit pattern of k - 1 up to 6 bits, both sides of a power of
+        # two (top bit alone, top bit plus the lowest), and a deep k
+        rng = seeded(105)
+        mats = [validate(r) for r in (GOLDEN_ROWS, FULL3_ROWS, PERM2_ROWS)]
+        mats += [random_irreducible(rng, rng.randrange(2, 7)) for _ in range(4)]
+        mats += [validate(random_transition_rows(rng, rng.randrange(2, 7))) for _ in range(3)]
+        mats += [sparse_irreducible(rng, 9)]
+        for mat in mats:
+            for k in [*range(1, 11), 16, 17, 32, 33, 64, 65, 1000]:
+                assert word_count(mat, k) == sum(map(sum, matrix_power(mat, k - 1))), (mat, k)
+
+    @pytest.mark.parametrize("k_min", [1, 2, 5, 1000, 100_000])
+    def test_word_counts_from_deep_start(self, golden_mean, k_min):
+        counts = _word_counts(golden_mean, k_min + 29, k_min)
+        assert counts == [word_count(golden_mean, k) for k in range(k_min, k_min + 30)]
+
+    def test_word_counts_start_rejected(self, golden_mean):
+        with pytest.raises(ValueError, match="word length must be >= 1"):
+            _word_counts(golden_mean, 5, 0)
+
 
 class TestSpectralRadius:
     def test_full_matrices(self):
@@ -205,6 +231,53 @@ class TestSpectralRadius:
         # the whole iteration budget
         with pytest.raises(ValueError, match="finite"):
             spectral_radius(golden_mean, tol=tol)
+
+
+def _cycle_with_loop(n):
+    rows = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    rows[0][0] = 1
+    return rows
+
+
+class TestPerronIterate:
+    """The one-product loop against the two-product loop it replaced
+    (``perron_oracle``): equal results, not merely close ones."""
+
+    @staticmethod
+    def _shifted():
+        rng = seeded(106)
+        grids = [GOLDEN_ROWS, FULL3_ROWS, PERM2_ROWS, _cycle_with_loop(60)]
+        grids += [list(map(list, random_irreducible(rng, rng.randrange(2, 9)).entries))
+                  for _ in range(8)]
+        grids += [list(map(list, sparse_irreducible(rng, 15).entries)) for _ in range(2)]
+        for rows in grids:
+            m = np.array(rows, dtype=float) + np.eye(len(rows))
+            yield m
+            yield m.T
+
+    @staticmethod
+    def _assert_equal(got, want):
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_matches_oracle(self, tol):
+        for m in self._shifted():
+            self._assert_equal(_perron_iterate(m, tol, 1_000_000),
+                               perron_iterate(m, tol, 1_000_000))
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_same_iteration_budget(self, tol):
+        for m in self._shifted():
+            needed = perron_iterate(m, tol, 1_000_000)[3]
+            for budget in (1, needed - 1):
+                if budget < needed:
+                    with pytest.raises(NoConvergenceError):
+                        _perron_iterate(m, tol, budget)
+                    with pytest.raises(NoConvergenceError):
+                        perron_iterate(m, tol, budget)
+            self._assert_equal(_perron_iterate(m, tol, needed), perron_iterate(m, tol, needed))
 
 
 class TestDual:
