@@ -3,8 +3,10 @@
 A transition matrix is a square 0/1 matrix with no zero row and no zero
 column.  Symbols are numbered 1..n in every public interface; the entry
 grid itself is stored 0-indexed.  Everything combinatorial (matrix powers,
-word counts) is computed in exact arbitrary-precision integer arithmetic;
-floating point is confined to the power iteration.
+word counts) is computed in exact arbitrary-precision integer arithmetic.
+The Perron vectors are found in floating point (Noda's inverse iteration,
+then power iteration as the stopping test), and the spectral radius is then
+certified by exact integer Collatz-Wielandt bounds on those vectors.
 """
 
 from __future__ import annotations
@@ -124,8 +126,12 @@ class TransitionMatrix(IntMatrix):
 class PerronData:
     """Spectral radius and both Perron eigenvectors of a transition matrix.
 
-    Vectors are normalized to sum 1.  ``residual`` is the achieved value of
-    max(inf-norm of A u - radius u, inf-norm of A^T v - radius v).
+    Vectors are normalized to sum 1.  ``lower`` and ``upper`` are floats
+    with lower <= r(A) <= upper proved in exact arithmetic: each is the
+    exact Collatz-Wielandt bound of the returned vectors, rounded outward.
+    ``radius`` is their midpoint.  ``residual`` is the achieved value of
+    max(inf-norm of A u - radius u, inf-norm of A^T v - radius v), and
+    ``iterations`` counts the Noda and power steps of both vectors.
     """
 
     radius: float
@@ -133,6 +139,8 @@ class PerronData:
     left: tuple[float, ...]
     residual: float
     iterations: int
+    lower: float
+    upper: float
 
 
 @dataclass(frozen=True)
@@ -313,17 +321,19 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     return counts
 
 
-def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int):
+def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int, start=None):
     """Power iteration for a nonnegative irreducible matrix with positive diagonal.
 
     Returns (eigenvalue, vector summing to 1, residual, iterations).  The
-    eigenvalue estimate is the midpoint of the componentwise ratio bounds,
-    which bracket the true Perron root at every step.  One product m @ v per
-    step: the product that measures a step's residual is the next step's
-    w, and the residual is only computed once the bracket is within tol.
+    iteration starts from ``start``, a positive vector summing to 1, or by
+    default from the uniform vector.  The eigenvalue estimate is the
+    midpoint of the componentwise ratio bounds, which bracket the true
+    Perron root at every step.  One product m @ v per step: the product
+    that measures a step's residual is the next step's w, and the residual
+    is only computed once the bracket is within tol.
     """
     n = m.shape[0]
-    v = np.full(n, 1.0 / n)
+    v = np.full(n, 1.0 / n) if start is None else start
     w = m @ v
     for it in range(1, max_iterations + 1):
         ratios = w / v
@@ -339,20 +349,112 @@ def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int):
     raise NoConvergenceError(max_iterations)
 
 
+def _noda(m: np.ndarray, tol: float, max_steps: int):
+    """Noda's inverse iteration for a nonnegative irreducible matrix.
+
+    Each step shifts by the Collatz-Wielandt upper bound sigma = max_i
+    (m v)_i / v_i and solves (sigma I - m) y = v.  For sigma above the
+    Perron root that inverse is a positive matrix, so y stays positive; the
+    shift converges to the root quadratically (Noda, Numer. Math. 17, 1971;
+    Elsner, Numer. Math. 26, 1976).  Stops once the ratio bracket is within
+    tol, after ``max_steps`` steps, or at the first solve that fails or
+    gives a vector that is not finite and positive, keeping the last good
+    vector.  Returns (vector summing to 1, steps taken).
+    """
+    n = m.shape[0]
+    v = np.full(n, 1.0 / n)
+    eye = np.eye(n)
+    steps = 0
+    while steps < max_steps:
+        ratios = (m @ v) / v
+        sigma = float(ratios.max())
+        if sigma - float(ratios.min()) <= tol:
+            break
+        try:
+            y = np.linalg.solve(sigma * eye - m, v)
+        except np.linalg.LinAlgError:
+            break
+        if not (np.isfinite(y).all() and y.min() > 0.0):
+            break
+        v = y / y.sum()
+        steps += 1
+    return v, steps
+
+
+def _perron_vector(m: np.ndarray, tol: float, max_iterations: int):
+    """Perron vector of m: Noda steps, then the power loop from their vector
+    as the one stopping test.  Both count against ``max_iterations``, and
+    the loop always gets at least one step.  Returns (vector, iterations)."""
+    v, steps = _noda(m, tol, max_iterations - 1)
+    try:
+        _, v, _, it = _perron_iterate(m, tol, max_iterations - steps, v)
+    except NoConvergenceError:
+        raise NoConvergenceError(max_iterations) from None
+    return v, steps + it
+
+
+def _scaled(vec) -> list[int]:
+    """Positive integers proportional to a positive float vector, exactly:
+    each float times one common power of two."""
+    parts = [math.frexp(x) for x in vec]
+    low = min(e for _, e in parts)
+    return [int(math.ldexp(f, 53)) << (e - low) for f, e in parts]
+
+
+def _float_below(num: int, den: int) -> float:
+    """The largest float <= num / den (den > 0)."""
+    x = num / den
+    a, b = x.as_integer_ratio()
+    return math.nextafter(x, -math.inf) if a * den > num * b else x
+
+
+def _float_above(num: int, den: int) -> float:
+    """The smallest float >= num / den (den > 0)."""
+    x = num / den
+    a, b = x.as_integer_ratio()
+    return math.nextafter(x, math.inf) if a * den < num * b else x
+
+
+def _collatz_wielandt(adjacency, vec) -> tuple[float, float]:
+    """Floats lo <= min_i (A u)_i / u_i and hi >= max_i (A u)_i / u_i for the
+    positive vector u = vec, where (A u)_i sums u over adjacency[i].  The
+    ratios are compared exactly, by integer cross-products; for irreducible
+    A, r(A) lies in [lo, hi] (Collatz-Wielandt; Seneta, ch. 1)."""
+    u = _scaled(vec)
+    sums = [sum(u[j - 1] for j in row) for row in adjacency]
+    lo = hi = 0
+    for i in range(1, len(u)):
+        if sums[i] * u[lo] < sums[lo] * u[i]:
+            lo = i
+        if sums[i] * u[hi] > sums[hi] * u[i]:
+            hi = i
+    return _float_below(sums[lo], u[lo]), _float_above(sums[hi], u[hi])
+
+
 def spectral_radius(
     mat: TransitionMatrix, tol: float = 1e-12, max_iterations: int = 1_000_000
 ) -> PerronData:
     """Spectral radius and Perron eigenvectors of an irreducible transition matrix.
 
-    Power iteration is applied to A + I; the positive diagonal of the shift
-    makes the iteration converge even for periodic irreducible matrices, and
-    the radius of A is recovered as (shifted radius) - 1.  The left vector
-    comes from the same iteration on the transpose.  Both vectors are
-    normalized to sum 1 and are strictly positive.
+    Each Perron vector of m = A + I (right, and left from the transpose)
+    comes from Noda's inverse iteration, finished by power iteration on m,
+    whose ratio bracket, within tol / 4, is the stopping test.  The positive
+    diagonal of the shift makes the power step converge even for periodic
+    irreducible matrices.  Both vectors are normalized to sum 1 and are
+    strictly positive.  The radius is then certified: the exact
+    Collatz-Wielandt bounds of the right vector (over the successor lists)
+    and of the left vector (over the predecessor lists) are intersected and
+    rounded outward to ``lower`` and ``upper``, and ``radius`` is their
+    midpoint.
+
+    Budget: Noda steps and power steps together count against
+    ``max_iterations`` for each vector, and ``iterations`` is their sum over
+    both vectors.
 
     Raises NotIrreducibleError when the matrix is reducible (positivity of
     the eigenvectors would not be guaranteed) and NoConvergenceError when
-    the iteration budget is exhausted.
+    the iteration budget is exhausted, or when the certified bracket is
+    wider than tol or the residual larger than tol.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -361,20 +463,30 @@ def spectral_radius(
     base = np.array(mat.entries, dtype=float)
     shifted = base + np.eye(mat.n)
     inner = tol / 4.0
-    lam, right, _, it_right = _perron_iterate(shifted, inner, max_iterations)
-    _, left, _, it_left = _perron_iterate(shifted.T, inner, max_iterations)
-    radius = lam - 1.0
+    right, it_right = _perron_vector(shifted, inner, max_iterations)
+    left, it_left = _perron_vector(shifted.T, inner, max_iterations)
+    iterations = it_right + it_left
+    u, v = right.tolist(), left.tolist()
+    lo_right, hi_right = _collatz_wielandt(mat.successors, u)
+    lo_left, hi_left = _collatz_wielandt(mat.predecessors, v)
+    lower = max(lo_right, lo_left)
+    upper = min(hi_right, hi_left)
+    if upper - lower > tol:
+        raise NoConvergenceError(iterations)
+    radius = 0.5 * (lower + upper)
     resid_right = float(np.abs(base @ right - radius * right).max())
     resid_left = float(np.abs(base.T @ left - radius * left).max())
     residual = max(resid_right, resid_left)
     if residual > tol:
-        raise NoConvergenceError(it_right + it_left)
+        raise NoConvergenceError(iterations)
     return PerronData(
         radius=radius,
-        right=tuple(float(x) for x in right),
-        left=tuple(float(x) for x in left),
+        right=tuple(u),
+        left=tuple(v),
         residual=residual,
-        iterations=it_right + it_left,
+        iterations=iterations,
+        lower=lower,
+        upper=upper,
     )
 
 
@@ -443,10 +555,14 @@ def parse_matrix(text: str) -> list[list[int]]:
         rows = obj["rows"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise MatrixError('JSON matrix file: "rows" must be a list of lists')
-        if "n" in obj and obj["n"] != len(rows):
-            raise MatrixError(
-                f'JSON matrix file declares n={obj["n"]} but has {len(rows)} rows'
-            )
+        if "n" in obj:
+            n = obj["n"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise MatrixError(
+                    f'JSON matrix file: "n" must be an integer, not {json.dumps(n)}'
+                )
+            if n != len(rows):
+                raise MatrixError(f"JSON matrix file declares n={n} but has {len(rows)} rows")
         return rows
     rows = []
     for line in body.splitlines():

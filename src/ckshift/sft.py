@@ -107,7 +107,8 @@ class ParryData:
 
     ``stochastic`` is the row-stochastic matrix P with P(i,j) positive
     exactly where the transition matrix is 1, and ``stationary`` is its
-    stationary probability vector (``parry_measure`` checks this to 1e-10).
+    stationary probability vector (``parry_measure`` checks this to 100
+    times its ``tol``, so to 1e-10 at the default tol of 1e-12).
     The measure of the cylinder of a word is stationary[first] times the
     product of the transition probabilities along it.
     """
@@ -130,7 +131,8 @@ def parry_measure(mat: TransitionMatrix, tol: float = 1e-12) -> ParryData:
     P(i,j) = A(i,j) u_j / (lambda u_i) for the right Perron vector u, rows
     renormalized to sum exactly 1; the stationary vector is proportional to
     the componentwise product of the two Perron vectors.  Raises
-    NotIrreducibleError for reducible matrices.
+    NotIrreducibleError for reducible matrices, and MatrixError when the
+    stationary vector misses stationarity by more than 100 tol.
     """
     perron = spectral_radius(mat, tol)
     n = mat.n
@@ -145,12 +147,13 @@ def parry_measure(mat: TransitionMatrix, tol: float = 1e-12) -> ParryData:
     weights = [u[i] * v[i] for i in range(n)]
     z = sum(weights)
     stationary = tuple(w / z for w in weights)
-    # stationarity is implied by the eigenvector equations; check it landed
+    # stationarity is implied by the eigenvector equations; check it landed,
+    # with a slack that grows with the eigenvector residuals the caller allowed
     err = max(
         abs(sum(stationary[i] * rows[i][j] for i in range(n)) - stationary[j])
         for j in range(n)
     )
-    if err > 1e-10:
+    if err > 100 * tol:
         raise MatrixError(f"stationary vector check failed (error {err:.3e})")
     return ParryData(radius=lam, stochastic=tuple(rows), stationary=stationary)
 

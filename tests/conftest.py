@@ -159,6 +159,40 @@ def sparse_irreducible(rng, n, extra_edges=2):
     return validate(rows)
 
 
+def cycle_with_loop(n):
+    """Rows of the n-cycle 1 -> 2 -> ... -> n -> 1 plus a loop at symbol 1.
+
+    Its Perron root is the root above 1 of x^n - x^(n-1) - 1 (the loop and
+    the cycle are the only first returns to symbol 1); n = 2 is the golden
+    mean shift."""
+    rows = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    rows[0][0] = 1
+    return rows
+
+
+def cyclic_permutation(rng, n):
+    """Seeded irreducible permutation matrix: one n-cycle, states shuffled."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[0] * n for _ in range(n)]
+    for a, b in zip(order, order[1:] + order[:1]):
+        rows[a][b] = 1
+    return validate(rows)
+
+
+def periodic_irreducible(rng, n, period, density=0.5):
+    """Seeded irreducible matrix of the given period: symbol i lies in class
+    i mod period, and every edge goes from one class to the next."""
+    while True:
+        rows = [
+            [1 if (i + 1 - j) % period == 0 and rng.random() < density else 0
+             for j in range(n)]
+            for i in range(n)
+        ]
+        if closure_strongly_connected(rows):
+            return validate(rows)
+
+
 def random_admissible_word(mat, rng, length):
     """Forward random walk (every row is nonzero, so walks never die)."""
     if length == 0:

@@ -98,6 +98,15 @@ class TestValidate:
         assert '"rows" must be a list of lists' in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", ['"2"', "2.0", "true", "null", "[2]"])
+    def test_json_non_integer_n_exits_2(self, capsys, tmp_path, n):
+        # "2" used to read as a row-count mismatch: "declares n=2 but has 2 rows"
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": %s, "rows": [[1, 1], [1, 0]]}' % n)
+        code, out, err = run(capsys, ["validate", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f'error: JSON matrix file: "n" must be an integer, not {n}\n'
+
 
 class TestEntropy:
     def test_golden_routes_agree(self, capsys, golden_file):
@@ -154,6 +163,16 @@ class TestEntropy:
         code, out, err = run(capsys, ["entropy", "--matrix", golden_file, "--tol", "nan"])
         assert (code, out) == (2, "")
         assert err == "error: tolerance must be positive and finite\n"
+
+    @pytest.mark.parametrize("command", ["entropy", "parry"])
+    def test_loose_tolerance_exits_0(self, capsys, golden_file, command):
+        # a fixed 1e-10 stationarity check used to fail here (error 6.0e-09)
+        code, out, err = run(
+            capsys, [command, "--matrix", golden_file, "--format", "json", "--tol", "1e-6"]
+        )
+        assert (code, err) == (0, "")
+        log_phi = math.log((1 + math.sqrt(5)) / 2)
+        assert abs(float(json.loads(out)["markov_entropy"]) - log_phi) <= 1e-6
 
     def test_bits_base_divides_by_log2(self, capsys, full2_file):
         code, nat_out, _ = run(capsys, ["entropy", "--matrix", full2_file, "--format", "json"])

@@ -31,6 +31,7 @@ from conftest import (
     GOLDEN_ROWS,
     PERM2_ROWS,
     closure_strongly_connected,
+    cycle_with_loop,
     random_irreducible,
     random_transition_rows,
     seeded,
@@ -233,12 +234,6 @@ class TestSpectralRadius:
             spectral_radius(golden_mean, tol=tol)
 
 
-def _cycle_with_loop(n):
-    rows = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-    rows[0][0] = 1
-    return rows
-
-
 class TestPerronIterate:
     """The one-product loop against the two-product loop it replaced
     (``perron_oracle``): equal results, not merely close ones."""
@@ -246,7 +241,7 @@ class TestPerronIterate:
     @staticmethod
     def _shifted():
         rng = seeded(106)
-        grids = [GOLDEN_ROWS, FULL3_ROWS, PERM2_ROWS, _cycle_with_loop(60)]
+        grids = [GOLDEN_ROWS, FULL3_ROWS, PERM2_ROWS, cycle_with_loop(60)]
         grids += [list(map(list, random_irreducible(rng, rng.randrange(2, 9)).entries))
                   for _ in range(8)]
         grids += [list(map(list, sparse_irreducible(rng, 15).entries)) for _ in range(2)]

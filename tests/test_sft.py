@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from ckshift import (
+    MatrixError,
     NotIrreducibleError,
     SymbolOutOfRangeError,
     TooManyWordsError,
@@ -13,6 +15,8 @@ from ckshift import (
     markov_entropy,
     parry_measure,
     partition_entropy,
+    sft,
+    spectral_radius,
     validate,
     word_count,
 )
@@ -110,6 +114,17 @@ class TestParryMeasure:
     def test_reducible_rejected(self):
         with pytest.raises(NotIrreducibleError):
             parry_measure(validate([[1, 0], [0, 1]]))
+
+    def test_stationarity_check_scales_with_tol(self, golden_mean, monkeypatch):
+        # a left vector off by 1e-8 misses stationarity by about 2.8e-9
+        pd = spectral_radius(golden_mean)
+        off = dataclasses.replace(pd, left=(pd.left[0] * (1 + 1e-8), pd.left[1]))
+        monkeypatch.setattr(sft, "spectral_radius", lambda mat, tol: off)
+        for tol in (1e-12, 1e-11):
+            with pytest.raises(MatrixError, match="stationary vector check failed"):
+                parry_measure(golden_mean, tol)
+        for tol in (1e-10, 1e-6):
+            assert parry_measure(golden_mean, tol).radius == pd.radius
 
 
 class TestCylinderProbability:
