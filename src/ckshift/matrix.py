@@ -4,9 +4,10 @@ A transition matrix is a square 0/1 matrix with no zero row and no zero
 column.  Symbols are numbered 1..n in every public interface; the entry
 grid itself is stored 0-indexed.  Everything combinatorial (matrix powers,
 word counts) is computed in exact arbitrary-precision integer arithmetic.
-The Perron vectors are found in floating point (Noda's inverse iteration,
-then power iteration as the stopping test), and the spectral radius is then
-certified by exact integer Collatz-Wielandt bounds on those vectors.
+The Perron vectors are found in floating point (power iteration, with
+Noda's inverse iteration where the spectral gap is small), and the spectral
+radius is then certified by exact integer Collatz-Wielandt bounds on those
+vectors.
 """
 
 from __future__ import annotations
@@ -79,8 +80,10 @@ class NotIrreducibleError(MatrixError):
 
 
 class NoConvergenceError(MatrixError):
-    def __init__(self, iterations: int):
-        super().__init__(f"power iteration did not converge within {iterations} iterations")
+    def __init__(self, iterations: int, message: str | None = None):
+        super().__init__(
+            message or f"power iteration did not converge within {iterations} iterations"
+        )
         self.iterations = iterations
 
 
@@ -321,20 +324,30 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     return counts
 
 
-def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int, start=None):
-    """Power iteration for a nonnegative irreducible matrix with positive diagonal.
+def _power_loop(m: np.ndarray, tol: float, max_iterations: int, v: np.ndarray):
+    """Power iteration for a nonnegative irreducible matrix with positive
+    diagonal, from the positive vector v summing to 1.
 
-    Returns (eigenvalue, vector summing to 1, residual, iterations).  The
-    iteration starts from ``start``, a positive vector summing to 1, or by
-    default from the uniform vector.  The eigenvalue estimate is the
-    midpoint of the componentwise ratio bounds, which bracket the true
-    Perron root at every step.  One product m @ v per step: the product
-    that measures a step's residual is the next step's w, and the residual
-    is only computed once the bracket is within tol.
+    Returns (eigenvalue, vector summing to 1, residual, iterations,
+    converged).  The eigenvalue estimate is the midpoint of the componentwise
+    ratio bounds lo and hi, which bracket the true Perron root at every
+    step.  One product m @ v per step: the product that measures a step's
+    residual is the next step's w, and the residual is only computed once
+    the bracket is within tol.
+
+    Stops unconverged when the budget is spent, or when n steps in a row
+    neither lower hi nor raise lo past their best so far.  In exact
+    arithmetic that never happens short of an eigenvector: m^(n-1) is
+    positive, so each ratio n - 1 steps on is a positive average of the
+    ratios now.  In floats it means rounding has taken over and no later
+    step can do better.
     """
     n = m.shape[0]
-    v = np.full(n, 1.0 / n) if start is None else start
     w = m @ v
+    lam = math.nan
+    residual = math.inf
+    best_lo, best_hi = -math.inf, math.inf
+    flat = 0
     for it in range(1, max_iterations + 1):
         ratios = w / v
         lo = float(ratios.min())
@@ -345,31 +358,51 @@ def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int, start=None):
         if hi - lo <= tol:
             residual = float(np.abs(w - lam * v).max())
             if residual <= tol:
-                return lam, v, residual, it
-    raise NoConvergenceError(max_iterations)
+                return lam, v, residual, it, True
+        if lo > best_lo or hi < best_hi:
+            best_lo, best_hi = max(lo, best_lo), min(hi, best_hi)
+            flat = 0
+        else:
+            flat += 1
+            if flat >= n:
+                return lam, v, residual, it, False
+    return lam, v, residual, max_iterations, False
 
 
-def _noda(m: np.ndarray, tol: float, max_steps: int):
-    """Noda's inverse iteration for a nonnegative irreducible matrix.
+def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int):
+    """Power iteration from the uniform vector; returns (eigenvalue, vector
+    summing to 1, residual, iterations) once the ratio bracket and the
+    residual are within tol, and raises NoConvergenceError otherwise."""
+    n = m.shape[0]
+    *result, converged = _power_loop(m, tol, max_iterations, np.full(n, 1.0 / n))
+    if not converged:
+        raise NoConvergenceError(max_iterations)
+    return tuple(result)
+
+
+def _noda(m: np.ndarray, tol: float, max_steps: int, v: np.ndarray):
+    """Noda's inverse iteration for a nonnegative irreducible matrix, from
+    the positive vector v summing to 1.
 
     Each step shifts by the Collatz-Wielandt upper bound sigma = max_i
     (m v)_i / v_i and solves (sigma I - m) y = v.  For sigma above the
     Perron root that inverse is a positive matrix, so y stays positive; the
-    shift converges to the root quadratically (Noda, Numer. Math. 17, 1971;
+    shift decreases to the root quadratically (Noda, Numer. Math. 17, 1971;
     Elsner, Numer. Math. 26, 1976).  Stops once the ratio bracket is within
-    tol, after ``max_steps`` steps, or at the first solve that fails or
-    gives a vector that is not finite and positive, keeping the last good
-    vector.  Returns (vector summing to 1, steps taken).
+    tol, after ``max_steps`` steps, as soon as the shift fails to decrease
+    (rounding has taken over), or at the first solve that fails or gives a
+    vector that is not finite and positive, keeping the last good vector.
+    Returns (vector summing to 1, steps taken).
     """
-    n = m.shape[0]
-    v = np.full(n, 1.0 / n)
-    eye = np.eye(n)
+    eye = np.eye(m.shape[0])
+    last = math.inf
     steps = 0
     while steps < max_steps:
         ratios = (m @ v) / v
         sigma = float(ratios.max())
-        if sigma - float(ratios.min()) <= tol:
+        if sigma - float(ratios.min()) <= tol or sigma >= last:
             break
+        last = sigma
         try:
             y = np.linalg.solve(sigma * eye - m, v)
         except np.linalg.LinAlgError:
@@ -382,15 +415,28 @@ def _noda(m: np.ndarray, tol: float, max_steps: int):
 
 
 def _perron_vector(m: np.ndarray, tol: float, max_iterations: int):
-    """Perron vector of m: Noda steps, then the power loop from their vector
-    as the one stopping test.  Both count against ``max_iterations``, and
-    the loop always gets at least one step.  Returns (vector, iterations)."""
-    v, steps = _noda(m, tol, max_iterations - 1)
-    try:
-        _, v, _, it = _perron_iterate(m, tol, max_iterations - steps, v)
-    except NoConvergenceError:
-        raise NoConvergenceError(max_iterations) from None
-    return v, steps + it
+    """Perron vector of m, and the steps spent on it.
+
+    Power iteration runs first, for at most n // 3 + 1 steps, at n^2
+    multiplications a step: about the n^3 / 3 of one LU factorization.  A
+    matrix with a large spectral gap, one that mixes quickly, is done there.
+    One with a small gap, such as a long cycle with few chords, goes on to
+    Noda steps from that vector, and the power loop finishes from theirs as
+    the stopping test.  All three count against ``max_iterations``, and at
+    least one step is left to the last loop.  A loop that stalls at a float
+    fixed point ends the search, leaving the verdict to the exact bracket.
+    """
+    n = m.shape[0]
+    probe = min(n // 3 + 1, max_iterations)
+    _, v, _, used, converged = _power_loop(m, tol, probe, np.full(n, 1.0 / n))
+    if converged:
+        return v, used
+    v, steps = _noda(m, tol, max_iterations - used - 1, v)
+    used += steps
+    _, v, _, it, converged = _power_loop(m, tol, max_iterations - used, v)
+    if not converged and used + it == max_iterations:
+        raise NoConvergenceError(max_iterations)
+    return v, used + it
 
 
 def _scaled(vec) -> list[int]:
@@ -415,13 +461,28 @@ def _float_above(num: int, den: int) -> float:
     return math.nextafter(x, math.inf) if a * den < num * b else x
 
 
-def _collatz_wielandt(adjacency, vec) -> tuple[float, float]:
-    """Floats lo <= min_i (A u)_i / u_i and hi >= max_i (A u)_i / u_i for the
-    positive vector u = vec, where (A u)_i sums u over adjacency[i].  The
-    ratios are compared exactly, by integer cross-products; for irreducible
-    A, r(A) lies in [lo, hi] (Collatz-Wielandt; Seneta, ch. 1)."""
+def _exact_matvec(a: np.ndarray, u: list[int]) -> list[int]:
+    """a @ u exactly, for a 0/1 float matrix a with fewer than 2^29 columns
+    and nonnegative integers u.  u is cut into 24-bit limbs; each entry of
+    a @ limb adds fewer than 2^29 integers below 2^24, so every partial sum
+    is an integer below 2^53, exact in floats in whatever order the BLAS
+    adds."""
+    mask = (1 << 24) - 1
+    out = [0] * len(u)
+    for shift in range(0, max(u).bit_length(), 24):
+        limb = np.array([(x >> shift) & mask for x in u], dtype=float)
+        for i, part in enumerate((a @ limb).tolist()):
+            out[i] += int(part) << shift
+    return out
+
+
+def _collatz_wielandt(a: np.ndarray, vec) -> tuple[float, float]:
+    """Floats lo <= min_i (a u)_i / u_i and hi >= max_i (a u)_i / u_i for
+    the 0/1 float matrix a and the positive vector u = vec.  The ratios are
+    compared exactly, by integer cross-products; for irreducible a, r(a)
+    lies in [lo, hi] (Collatz-Wielandt; Seneta, ch. 1)."""
     u = _scaled(vec)
-    sums = [sum(u[j - 1] for j in row) for row in adjacency]
+    sums = _exact_matvec(a, u)
     lo = hi = 0
     for i in range(1, len(u)):
         if sums[i] * u[lo] < sums[lo] * u[i]:
@@ -437,19 +498,20 @@ def spectral_radius(
     """Spectral radius and Perron eigenvectors of an irreducible transition matrix.
 
     Each Perron vector of m = A + I (right, and left from the transpose)
-    comes from Noda's inverse iteration, finished by power iteration on m,
-    whose ratio bracket, within tol / 4, is the stopping test.  The positive
-    diagonal of the shift makes the power step converge even for periodic
-    irreducible matrices.  Both vectors are normalized to sum 1 and are
-    strictly positive.  The radius is then certified: the exact
-    Collatz-Wielandt bounds of the right vector (over the successor lists)
-    and of the left vector (over the predecessor lists) are intersected and
-    rounded outward to ``lower`` and ``upper``, and ``radius`` is their
-    midpoint.
+    comes from power iteration on m when that converges within n // 3 + 1
+    steps, and otherwise from Noda's inverse iteration, finished by power
+    iteration; the power loop's ratio bracket, within tol / 4, is the
+    stopping test.  The positive diagonal of the shift makes the power step
+    converge even for periodic irreducible matrices.  Both vectors are
+    normalized to sum 1 and are strictly positive.  The radius is then
+    certified: the exact Collatz-Wielandt bounds of the right vector (under
+    A) and of the left vector (under the transpose), in integer arithmetic,
+    are intersected and rounded outward to ``lower`` and ``upper``, and
+    ``radius`` is their midpoint.  When rounding stalls the float iteration
+    short of tol / 4, the exact bracket alone decides.
 
-    Budget: Noda steps and power steps together count against
-    ``max_iterations`` for each vector, and ``iterations`` is their sum over
-    both vectors.
+    Budget: power and Noda steps together count against ``max_iterations``
+    for each vector, and ``iterations`` is their sum over both vectors.
 
     Raises NotIrreducibleError when the matrix is reducible (positivity of
     the eigenvectors would not be guaranteed) and NoConvergenceError when
@@ -467,18 +529,25 @@ def spectral_radius(
     left, it_left = _perron_vector(shifted.T, inner, max_iterations)
     iterations = it_right + it_left
     u, v = right.tolist(), left.tolist()
-    lo_right, hi_right = _collatz_wielandt(mat.successors, u)
-    lo_left, hi_left = _collatz_wielandt(mat.predecessors, v)
+    lo_right, hi_right = _collatz_wielandt(base, u)
+    lo_left, hi_left = _collatz_wielandt(base.T, v)
     lower = max(lo_right, lo_left)
     upper = min(hi_right, hi_left)
     if upper - lower > tol:
-        raise NoConvergenceError(iterations)
+        raise NoConvergenceError(
+            iterations,
+            f"certified bracket [{lower!r}, {upper!r}] on the spectral radius is "
+            f"{upper - lower:.3e} wide, more than tol {tol:.3e}",
+        )
     radius = 0.5 * (lower + upper)
     resid_right = float(np.abs(base @ right - radius * right).max())
     resid_left = float(np.abs(base.T @ left - radius * left).max())
     residual = max(resid_right, resid_left)
     if residual > tol:
-        raise NoConvergenceError(iterations)
+        raise NoConvergenceError(
+            iterations,
+            f"Perron vector residual {residual:.3e} is more than tol {tol:.3e}",
+        )
     return PerronData(
         radius=radius,
         right=tuple(u),
