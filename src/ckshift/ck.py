@@ -23,18 +23,25 @@ zero-one witness blocks are partial permutation matrices, kept as the sets
 of their (row, column) units; ``witness_blocks`` is a dense numpy view of
 them.  The finite-dimensional block picture of the degree-zero part uses
 exact Fractions.
+
+Words are found by bisection in the sorted tuple of admissible words of
+their length: the words with a given prefix form one contiguous range of it,
+and a concatenation of admissible words is admissible exactly when it is
+found there.  The canonical shift is concatenation too, since
+S_eta S_a S_b* S_eta* = S_{eta a} S_{eta b}*; it multiplies nothing.
 """
 
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .matrix import TransitionMatrix
+from .matrix import TransitionMatrix, _matmul
 from .sft import (
     WORD_CAP,
     TooManyWordsError,
@@ -207,7 +214,6 @@ class CuntzKriegerAlgebra:
             sum(1 << (j - 1) for j in row) for row in matrix.successors
         )
         self._word_cache: dict[int, tuple[Word, ...]] = {0: ((),)}
-        self._prefix_cache: dict[int, dict[Word, range]] = {}
         self.zero = CKElement(self, {})
         self.identity = CKElement(self, {Monomial((), ()): Fraction(1)})
 
@@ -225,18 +231,13 @@ class CuntzKriegerAlgebra:
     def _check_word(self, word) -> Word:
         return _check_word(word, self.n)
 
-    def _prefix_ranges(self, m: int, cap: int = WORD_CAP) -> dict[Word, range]:
-        """Map each prefix (of length 0..m) of an admissible length-m word to
-        the index range of the length-m words that start with it; the words
-        are sorted, so that set is contiguous."""
-        if m not in self._prefix_cache:
-            bounds: dict[Word, list[int]] = {}
-            for r, wd in enumerate(self.words(m, cap=cap)):
-                for k in range(m + 1):
-                    span = bounds.setdefault(wd[:k], [r, r])
-                    span[1] = r + 1
-            self._prefix_cache[m] = {p: range(lo, hi) for p, (lo, hi) in bounds.items()}
-        return self._prefix_cache[m]
+    def _span(self, index: tuple[Word, ...], prefix: Word) -> range:
+        """Positions, in the sorted word tuple ``index``, of the words that
+        start with ``prefix``: a contiguous range.  A word as long as those
+        in ``index`` is admissible exactly when its range is not empty."""
+        return range(
+            bisect_left(index, prefix), bisect_left(index, prefix + (self.n + 1,))
+        )
 
     def _admissible(self, word: Word) -> bool:
         rows = self._rows
@@ -413,12 +414,14 @@ class CuntzKriegerAlgebra:
             raise ValueError("power must be nonnegative")
         if power == 0:
             return x
+        # S_eta S_a S_b* S_eta* = S_{eta a} S_{eta b}*, zero when either
+        # junction is inadmissible; distinct (eta, a, b) give distinct words
         acc: dict[Monomial, Fraction] = {}
         for eta in self.words(power):
-            left = self.s(eta)
-            piece = left * x * left.adjoint()
-            for m, c in piece.terms.items():
-                acc[m] = acc.get(m, 0) + c
+            for (a, b), c in x.terms.items():
+                mono = self._mono(eta + a, eta + b)
+                if mono is not None:
+                    acc[mono] = c
         return CKElement(self, acc)
 
     def block_embedding(self, m: int, x: CKElement, cap: int = WORD_CAP) -> "BlockMatrix":
@@ -433,31 +436,20 @@ class CuntzKriegerAlgebra:
         if m < 1:
             raise ValueError("block depth must be >= 1")
         index = self.words(m, cap=cap)
-        prefixes = self._prefix_ranges(m, cap=cap)
         rows: set[int] = set()
         for mono in x.terms:
-            rows.update(prefixes.get(mono.left[:m], ()))
+            rows.update(self._span(index, mono.left[:m]))
         cells = {}
         for r in sorted(rows):
             left = self.s_star(index[r]) * x
             cols: set[int] = set()
             for mono in left.terms:
-                cols.update(prefixes.get(mono.right[:m], ()))
+                cols.update(self._span(index, mono.right[:m]))
             for c in sorted(cols):
                 cells[r, c] = left * self.s(index[c])
         return BlockMatrix(self, m, index, cells)
 
     # -- witness blocks for the embedding identities -------------------------
-
-    def _cat_admissible(self, *parts: Word) -> bool:
-        prev: Word = ()
-        for part in parts:
-            if not part:
-                continue
-            if prev and not self._rows[prev[-1] - 1][part[0] - 1]:
-                return False
-            prev = part
-        return True
 
     def witness_blocks(self, alpha, beta, i: int, l: int, m: int, cap: int = WORD_CAP):
         """Explicit 0/1 witness blocks for the shifted-generator image under
@@ -500,29 +492,27 @@ class CuntzKriegerAlgebra:
                 f"block depth m = {m} is below l + 1 + |alpha| = {l + 1 + len(a)}"
             )
         index = self.words(m, cap=cap)
-        pos = {wd: r for r, wd in enumerate(index)}
+        span = self._span
         mid_len = m - l - len(a)
         etas = self.words(l)
         mids = _words_from(self._succ, mid_len, (i,))
+        # every word looked up below has length m, so its span is its one
+        # position, or empty when the word is inadmissible
         if len(a) > len(b):
             out = {mu: set() for mu in self.words(len(a) - len(b))}
             for eta in etas:
                 for mid in mids:
-                    if not self._cat_admissible(eta, a, mid):
-                        continue
-                    row = pos[eta + a + mid]
-                    for mu, cells in out.items():
-                        if self._cat_admissible(eta, b, mid, mu):
-                            cells.add((row, pos[eta + b + mid + mu]))
+                    for row in span(index, eta + a + mid):
+                        for mu, cells in out.items():
+                            for col in span(index, eta + b + mid + mu):
+                                cells.add((row, col))
             return out
         out = {j: set() for j in range(1, self.n + 1)}
         for eta in etas:
             for mid in mids:
-                if not self._cat_admissible(eta, a, mid):
-                    continue
-                if not self._cat_admissible(eta, b, mid):
-                    continue
-                out[mid[-1]].add((pos[eta + a + mid], pos[eta + b + mid]))
+                for row in span(index, eta + a + mid):
+                    for col in span(index, eta + b + mid):
+                        out[mid[-1]].add((row, col))
         return out
 
     # -- finite-dimensional picture of the degree-zero part ------------------
@@ -663,16 +653,10 @@ class BlockDiagonal:
             return NotImplemented
         if self.depth != other.depth or self.blocks.keys() != other.blocks.keys():
             raise ValueError("block shapes differ")
-        out = {}
-        for t, a in self.blocks.items():
-            b = other.blocks[t]
-            size = len(a)
-            out[t] = tuple(
-                tuple(
-                    sum(a[r][k] * b[k][c] for k in range(size)) for c in range(size)
-                )
-                for r in range(size)
-            )
+        out = {
+            t: tuple(map(tuple, _matmul(a, other.blocks[t])))
+            for t, a in self.blocks.items()
+        }
         return BlockDiagonal(self.depth, out)
 
 

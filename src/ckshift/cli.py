@@ -6,7 +6,8 @@ text, JSON or CSV.  Numeric JSON fields are decimal strings with 15
 significant digits so output is byte-stable across runs.
 
 Exit codes: 0 success, 1 verification mismatch, 2 operational error (bad
-input, I/O, or exhausted recursion or memory), reported as one line on stderr.
+input, I/O, exhausted recursion or memory, or an internal error), reported
+as one line on stderr.
 """
 
 from __future__ import annotations
@@ -331,6 +332,8 @@ def main(argv=None) -> int:
         message = str(exc)
     except MemoryError:
         message = "out of memory"
+    except Exception as exc:
+        message = f"internal error: {type(exc).__name__}: {exc}"
     sys.stderr.write(f"error: {message}\n")
     return 2
 

@@ -233,7 +233,8 @@ def is_permutation(mat: TransitionMatrix) -> bool:
 
 
 def _matmul(a, b):
-    """Exact integer product of two list-of-list matrices (shapes must agree)."""
+    """Exact product of two row-major matrices of ints or Fractions (shapes
+    must agree), as a list of lists."""
     rows = len(a)
     inner = len(b)
     cols = len(b[0]) if inner else 0
@@ -367,17 +368,6 @@ def _power_loop(m: np.ndarray, tol: float, max_iterations: int, v: np.ndarray):
             if flat >= n:
                 return lam, v, residual, it, False
     return lam, v, residual, max_iterations, False
-
-
-def _perron_iterate(m: np.ndarray, tol: float, max_iterations: int):
-    """Power iteration from the uniform vector; returns (eigenvalue, vector
-    summing to 1, residual, iterations) once the ratio bracket and the
-    residual are within tol, and raises NoConvergenceError otherwise."""
-    n = m.shape[0]
-    *result, converged = _power_loop(m, tol, max_iterations, np.full(n, 1.0 / n))
-    if not converged:
-        raise NoConvergenceError(max_iterations)
-    return tuple(result)
 
 
 def _noda(m: np.ndarray, tol: float, max_steps: int, v: np.ndarray):

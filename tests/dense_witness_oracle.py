@@ -7,13 +7,41 @@ identity B B^T B = B.  Block matrices here are dense grids (a tuple of row
 tuples of elements), multiplied by the loop over all w^3 index triples that
 ``BlockMatrix`` used before it stored only its nonzero cells.  None of this
 shares code with the sparse paths in ``ck.py`` (witness units, the pruned
-block embedding, prefix ranges, stored cells), so agreement of the two is
-an independent check of them.
+block embedding, word lookup by bisection, stored cells), so agreement of
+the two is an independent check of them.  Admissibility of a concatenation
+is decided here by checking each junction, and the shift by multiplying out
+S_eta x S_eta*, where ``ck.py`` looks words up and concatenates.
 """
 
 import numpy as np
 
 from ckshift.ck import CKElement, VerificationReport
+
+
+def cat_admissible(alg, *parts):
+    """Whether the concatenation of admissible words is admissible: every
+    junction between consecutive nonempty parts is an edge."""
+    prev = ()
+    for part in parts:
+        if not part:
+            continue
+        if prev and not alg.matrix.entry(prev[-1], part[0]):
+            return False
+        prev = part
+    return True
+
+
+def product_shift(alg, x, power):
+    """The canonical shift as the sum of products S_eta x S_eta* over the
+    words eta of length ``power``."""
+    if power == 0:
+        return x
+    acc = {}
+    for eta in alg.words(power):
+        left = alg.s(eta)
+        for mono, c in (left * x * left.adjoint()).terms.items():
+            acc[mono] = acc.get(mono, 0) + c
+    return CKElement(alg, acc)
 
 
 def dense_block_embedding(alg, m, x):
@@ -84,19 +112,19 @@ def dense_witness_blocks(alg, alpha, beta, i, l, m):
         }
         for eta in etas:
             for mid in mids:
-                if not alg._cat_admissible(eta, a, mid):
+                if not cat_admissible(alg, eta, a, mid):
                     continue
                 row = pos[eta + a + mid]
                 for mu, block in out.items():
-                    if alg._cat_admissible(eta, b, mid, mu):
+                    if cat_admissible(alg, eta, b, mid, mu):
                         block[row, pos[eta + b + mid + mu]] = 1
         return out
     out = {j: np.zeros((w, w), dtype=np.int64) for j in range(1, alg.n + 1)}
     for eta in etas:
         for mid in mids:
-            if not alg._cat_admissible(eta, a, mid):
+            if not cat_admissible(alg, eta, a, mid):
                 continue
-            if not alg._cat_admissible(eta, b, mid):
+            if not cat_admissible(alg, eta, b, mid):
                 continue
             out[mid[-1]][pos[eta + a + mid], pos[eta + b + mid]] = 1
     return out
@@ -134,7 +162,7 @@ def verify_witness_decomposition_dense(alg, n0, n, inject_fault=False):
                                 blocks[key][nz[0][0], nz[0][1]] = 0
                                 injected = True
                                 break
-                    lhs = dense_block_embedding(alg, m, alg.shift(gen, l))
+                    lhs = dense_block_embedding(alg, m, product_shift(alg, gen, l))
                     rhs_terms = [[None] * w for _ in range(w)]
                     for key, block in blocks.items():
                         piece = (

@@ -1,5 +1,6 @@
-"""Reference power iteration: the loop ``matrix._perron_iterate`` ran before
-it carried the product m @ v from one step to the next.
+"""Reference power iteration: the loop ``matrix._power_loop`` ran, from the
+uniform start vector, before it carried the product m @ v from one step to
+the next.
 
 Each step here multiplies by the matrix twice (once for the step, once for
 the residual) and computes the residual at every step.  The two loops

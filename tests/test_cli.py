@@ -9,6 +9,20 @@ from ckshift import cli, load_matrix, matrix, sft, word_count
 from ckshift.cli import main
 from ckshift.sft import _fmt
 
+from conftest import (
+    FULL3_ROWS,
+    GOLDEN_ROWS,
+    PERM2_ROWS,
+    RANDOM3_ROWS,
+    cycle_with_loop,
+    cyclic_permutation,
+    periodic_irreducible,
+    random_irreducible,
+    random_transition_rows,
+    seeded,
+    sparse_irreducible,
+)
+
 
 @pytest.fixture
 def golden_file(tmp_path):
@@ -374,3 +388,67 @@ class TestExitContract:
         assert err.startswith("error: ")
         assert err.endswith("\n") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_internal_error_exits_2_with_one_line(self, capsys, monkeypatch, golden_file):
+        # a bug is not a verification mismatch: it must not exit 1
+        def boom(args):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "_cmd_validate", boom)
+        code, out, err = run(capsys, ["validate", "--matrix", golden_file])
+        assert code == 2
+        assert out == ""
+        assert err == "error: internal error: KeyError: 'lost'\n"
+
+
+def _contract_matrices():
+    """Seeded matrices of every kind the subcommands meet: primitive,
+    periodic, permutations, reducible, near-cycles, integer entries above 1,
+    and a zero row."""
+    rng = seeded(713)
+    rows = [GOLDEN_ROWS, FULL3_ROWS, PERM2_ROWS, RANDOM3_ROWS, [[1, 0], [0, 1]],
+            cycle_with_loop(12)]
+    rows += [random_transition_rows(rng, rng.randrange(2, 6)) for _ in range(4)]
+    mats = [random_irreducible(rng, 5), periodic_irreducible(rng, 6, 3),
+            cyclic_permutation(rng, 4), sparse_irreducible(rng, 9)]
+    rows += [[list(r) for r in m.entries] for m in mats]
+    rows += [[[2]], [[0, 2], [1, 0]], [[1, 1], [0, 0]]]
+    return rows
+
+
+CONTRACT_RUNS = [
+    ["validate"],
+    ["validate", "--format", "json"],
+    ["validate", "--format", "csv"],
+    ["entropy", "--k-max", "2000"],
+    ["entropy", "--format", "json", "--base", "bits"],
+    ["words", "--k-max", "3", "--format", "csv"],
+    ["words", "--k-max", "2000"],
+    ["parry", "--format", "json"],
+    ["dual"],
+    ["convergence", "--k-max", "300", "--format", "csv"],
+    ["convergence", "--k-max", "1"],
+    ["verify-ck"],
+    ["verify-ck", "--inject-fault"],
+    ["verify-lemma2", "--n0", "1", "--n", "2", "--format", "json"],
+    ["verify-lemma2", "--n0", "1", "--n", "1", "--inject-fault"],
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT_RUNS, ids=" ".join)
+def test_exit_contract_over_seeded_matrices(capsys, tmp_path, argv):
+    """Every run exits 0 or 2, and 1 only under --inject-fault; stderr holds
+    warnings and at most one error line, never a traceback."""
+    fault = "--inject-fault" in argv
+    for k, rows in enumerate(_contract_matrices()):
+        path = tmp_path / f"m{k}.txt"
+        path.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, err = run(capsys, [argv[0], "--matrix", str(path), *argv[1:]])
+        assert code in ((1, 2) if fault else (0, 2)), (rows, code, err)
+        lines = err.splitlines()
+        if code == 2:
+            assert lines and lines[-1].startswith("error: "), (rows, err)
+            lines = lines[:-1]
+        assert all(line.startswith("warning: ") for line in lines), (rows, err)
+        if code == 1:
+            assert json.loads(out)["failures"]

@@ -1,5 +1,5 @@
-"""The certified Perron bracket, and the exact sandwich that ties the Perron
-route to the word-growth route.
+"""The certified Perron bracket, the exact sandwich that ties the Perron
+route to the word-growth route, and the Parry entropy inside the bracket.
 
 For a positive vector u whose Collatz-Wielandt ratios (A u)_i / u_i lie in
 [lo, hi], lo^(k-1) u <= A^(k-1) u <= hi^(k-1) u holds componentwise, and
@@ -17,7 +17,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ckshift import NoConvergenceError, spectral_radius, validate, word_count
+from ckshift import (
+    NoConvergenceError,
+    markov_entropy,
+    parry_measure,
+    spectral_radius,
+    validate,
+    word_count,
+)
 
 from conftest import (
     GOLDEN_ROWS,
@@ -183,3 +190,62 @@ class TestRouteSandwich:
                 assert below <= word_count(mat, k) <= above, (mat, k)
                 below *= lo
                 above *= hi
+
+
+class TestParryEntropyInBracket:
+    """Route 3 (the Parry measure's entropy rate) lies in the certified
+    bracket of route 1, [log lower, log upper], up to a stated float error.
+
+    parry_measure builds P(i,j) = A(i,j) u_j / (A u)_i from the right Perron
+    vector u, so -log P(i,j) = log rho_i + log u_i - log u_j with
+    rho_i = (A u)_i / u_i, and for any weights pi, with s_i = sum_j P(i,j),
+
+        h = sum_i pi_i s_i log rho_i + sum_j (pi_j s_j - (pi P)_j) log u_j.
+
+    The second sum has total weight 0, so it is at most half the
+    stationarity defect |pi o s - pi P|_1 times max log u - min log u.  For
+    pi = u o v / z with v the left Perron vector, sum_i pi_i rho_i =
+    v^T A u / z is both a pi-mean of the rho_i and of the left ratios
+    (A^T v)_j / v_j, so it lies in [lower, upper]; by Jensen the pi-mean of
+    log rho_i is at most its log and at least its log minus
+    (max rho - min rho)^2 / (8 min rho^2) (Popoviciu's variance bound).
+    Floats add the rest: markov_entropy sums N = nnz(A) nonnegative terms,
+    at most (N - 1) eps h off (Higham, Accuracy and Stability of Numerical
+    Algorithms, (4.4)); the renormalized rows and pi carry at most (n + 4)
+    eps relative error each, which moves h, log rho and log u by
+    (n + 4) eps (1 + h + span log u); logs and products add a few eps.  The
+    bound below is twice the sum, the factor covering second-order terms
+    and the float evaluation of the bound itself.
+    """
+
+    @staticmethod
+    def _error_bound(mat, perron, pd, h):
+        eps = 2.0**-53
+        n = mat.n
+        adjacency = np.array(mat.entries, dtype=float)
+        u = np.array(perron.right)
+        rho = adjacency @ u / u
+        stochastic = np.array(pd.stochastic)
+        pi = np.array(pd.stationary)
+        defect = float(np.abs(pi * stochastic.sum(axis=1) - pi @ stochastic).sum())
+        span = float(np.log(u).max() - np.log(u).min())
+        jensen = float((rho.max() - rho.min()) ** 2 / (8 * rho.min() ** 2))
+        rounding = (int(adjacency.sum()) + 3 * n + 8) * eps * (1 + h + span)
+        return 2 * (rounding + defect * span / 2 + jensen)
+
+    def test_markov_entropy_between_log_bounds(self):
+        rng = seeded(611)
+        mats = _matrices()
+        mats += [random_irreducible(rng, n, density=d)
+                 for n, d in ((40, 0.3), (120, 0.1), (200, 0.05))]
+        mats += [periodic_irreducible(rng, n, p) for n, p in ((30, 2), (60, 5), (200, 4))]
+        mats += [cyclic_permutation(rng, n) for n in (50, 200)]
+        mats += [sparse_irreducible(rng, n) for n in (60, 200)]
+        mats += [validate(cycle_with_loop(n)) for n in (100, 200)]
+        for mat in mats:
+            perron = spectral_radius(mat)
+            pd = parry_measure(mat)
+            h = markov_entropy(pd)
+            slack = self._error_bound(mat, perron, pd, h)
+            assert slack < 1e-11
+            assert math.log(perron.lower) - slack <= h <= math.log(perron.upper) + slack, mat

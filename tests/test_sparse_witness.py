@@ -4,6 +4,7 @@ public dense views (``witness_blocks``, ``BlockMatrix.entries``) unchanged,
 and products, adjoints and comparisons that agree with the dense forms."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     FULL2_ROWS,
     FULL3_ROWS,
     GOLDEN_ROWS,
+    PERM2_ROWS,
     RANDOM3_ROWS,
     random_degree_zero,
     random_monomial,
@@ -26,6 +28,7 @@ from dense_witness_oracle import (
     dense_equals,
     dense_product,
     dense_witness_blocks,
+    product_shift,
     verify_witness_decomposition_dense,
 )
 
@@ -59,6 +62,22 @@ def test_report_matches_dense_oracle(algebras, name, n0, n, fault):
         dense.to_json_dict(), sort_keys=True
     )
     assert sparse.ok is not fault
+
+
+@pytest.mark.parametrize("rows", [*MATRICES.values(), PERM2_ROWS],
+                         ids=[*MATRICES, "perm2"])
+def test_shift_by_concatenation_matches_product_oracle(rows):
+    # the same stored terms, not merely equal elements of the algebra
+    alg = CuntzKriegerAlgebra(validate(rows))
+    rng = seeded(212)
+    elements = [alg.identity, alg.zero]
+    for _ in range(26):
+        coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randrange(1, 4))
+        elements.append(coeff * random_monomial(alg, rng) + random_monomial(alg, rng))
+        elements.append(random_degree_zero(alg, rng))
+    for power in range(4):
+        for x in elements:
+            assert alg.shift(x, power) == product_shift(alg, x, power)
 
 
 class TestPartialPermutation:
