@@ -4,7 +4,10 @@ The algebra is generated by one partial isometry per symbol, subject to the
 usual relations: the range projections P_i = S_i S_i* are orthogonal, and
 the support projections satisfy S_i* S_i = sum_j A(i,j) P_j.  Elements are
 finite linear combinations of monomials S_mu S_nu* over admissible words,
-with exact rational coefficients, so equality of elements is decidable.
+with exact rational coefficients, so equality of elements is decidable.  A
+coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` otherwise; an int is a ``numbers.Rational`` and compares,
+hashes and prints like the equal Fraction.
 
 A monomial is identified with zero at construction time when either word is
 inadmissible, or when the two words end in symbols with no common successor
@@ -23,6 +26,11 @@ zero-one witness blocks are partial permutation matrices, kept as the sets
 of their (row, column) units; ``witness_blocks`` is a dense numpy view of
 them.  The finite-dimensional block picture of the degree-zero part uses
 exact Fractions.
+
+The block embedding is built term by term: the cell (mu, nu) of S_a S_b* is
+S_mu* S_a S_b* S_nu, two products of bare monomials, and a product of
+stored monomials checks only its new junction and the two termini, since
+the words it joins are admissible already.
 
 Words are found by bisection in the sorted tuple of admissible words of
 their length: the words with a given prefix form one contiguous range of it,
@@ -109,18 +117,30 @@ class Monomial(NamedTuple):
         return "".join(out)
 
 
+def _coeff(c) -> numbers.Rational:
+    """c as an exact coefficient: an int as it is, anything else as a
+    Fraction (which ``CKElement`` stores as an int when it is integral)."""
+    return c if type(c) is int else Fraction(c)
+
+
 class CKElement:
     """Immutable finite rational combination of monomials.
 
-    ``==`` is structural (same stored terms); use ``algebra.equal`` for
-    equality in the algebra, which is invariant under refinement.
+    Zero coefficients are dropped; an integral coefficient is stored as an
+    ``int`` and any other as a ``Fraction``.  ``==`` is structural (same
+    stored terms); use ``algebra.equal`` for equality in the algebra, which
+    is invariant under refinement.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: "CuntzKriegerAlgebra", terms: dict):
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {
+            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for m, c in terms.items()
+            if c
+        }
 
     @property
     def is_zero(self) -> bool:
@@ -155,7 +175,7 @@ class CKElement:
             self._check_partner(other)
             return self.algebra._multiply(self, other)
         if isinstance(other, numbers.Rational):
-            c = Fraction(other)
+            c = _coeff(other)
             return CKElement(self.algebra, {m: v * c for m, v in self.terms.items()})
         return NotImplemented
 
@@ -215,7 +235,7 @@ class CuntzKriegerAlgebra:
         )
         self._word_cache: dict[int, tuple[Word, ...]] = {0: ((),)}
         self.zero = CKElement(self, {})
-        self.identity = CKElement(self, {Monomial((), ()): Fraction(1)})
+        self.identity = CKElement(self, {Monomial((), ()): 1})
 
     # -- words ------------------------------------------------------------
 
@@ -235,9 +255,8 @@ class CuntzKriegerAlgebra:
         """Positions, in the sorted word tuple ``index``, of the words that
         start with ``prefix``: a contiguous range.  A word as long as those
         in ``index`` is admissible exactly when its range is not empty."""
-        return range(
-            bisect_left(index, prefix), bisect_left(index, prefix + (self.n + 1,))
-        )
+        lo = bisect_left(index, prefix)
+        return range(lo, bisect_left(index, prefix + (self.n + 1,), lo))
 
     def _admissible(self, word: Word) -> bool:
         rows = self._rows
@@ -247,11 +266,23 @@ class CuntzKriegerAlgebra:
         """Monomial under the construction-time zero identification, or None."""
         if not self._admissible(left) or not self._admissible(right):
             return None
+        return self._meet(left, right)
+
+    def _meet(self, left: Word, right: Word) -> Monomial | None:
+        """S_left S_right* for admissible words, or None when their termini
+        have no common successor."""
         if left and right and not (
             self._succ_mask[left[-1] - 1] & self._succ_mask[right[-1] - 1]
         ):
             return None
         return Monomial(left, right)
+
+    def _cat(self, u: Word, v: Word) -> Word | None:
+        """The concatenation of admissible words, or None when the junction
+        is not an edge."""
+        if u and v and not self._rows[u[-1] - 1][v[0] - 1]:
+            return None
+        return u + v
 
     # -- constructors ------------------------------------------------------
 
@@ -262,11 +293,11 @@ class CuntzKriegerAlgebra:
         ``monomial``: keys that vanish in the algebra are dropped, and the
         coefficients of keys that coincide are added up.
         """
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, numbers.Rational] = {}
         for (left, right), c in terms.items():
             m = self._mono(self._check_word(left), self._check_word(right))
             if m is not None:
-                acc[m] = acc.get(m, 0) + Fraction(c)
+                acc[m] = acc.get(m, 0) + _coeff(c)
         return CKElement(self, acc)
 
     def monomial(self, left, right, coeff=1) -> CKElement:
@@ -275,7 +306,7 @@ class CuntzKriegerAlgebra:
         m = self._mono(self._check_word(left), self._check_word(right))
         if m is None:
             return self.zero
-        return CKElement(self, {m: Fraction(coeff)})
+        return CKElement(self, {m: _coeff(coeff)})
 
     def s(self, word) -> CKElement:
         """S_word (the identity for the empty word, zero if inadmissible)."""
@@ -292,7 +323,7 @@ class CuntzKriegerAlgebra:
         """Support projection S_i* S_i, expanded as sum_j A(i,j) P_j."""
         self._check_word((i,))
         return CKElement(
-            self, {Monomial((j,), (j,)): Fraction(1) for j in self._succ[i - 1]}
+            self, {Monomial((j,), (j,)): 1 for j in self._succ[i - 1]}
         )
 
     def generator(self, alpha, i: int, beta) -> CKElement:
@@ -324,7 +355,10 @@ class CuntzKriegerAlgebra:
         If al extends nu the inner isometries collapse onto the surplus; if
         nu extends al symmetrically; if nu = al the support projection in the
         middle is expanded as a sum over common successor symbols.  All other
-        shapes annihilate.
+        shapes annihilate.  Both monomials are stored ones, so every word
+        is admissible and only the new junction and the termini are checked.
+        A surplus keeps the terminus of the longer word, whose own monomial
+        already passed the termini check.
         """
         mu, nu = m1
         al, be = m2
@@ -332,22 +366,22 @@ class CuntzKriegerAlgebra:
             if not nu or (mu and mu[-1] == nu[-1]) or (be and be[-1] == nu[-1]):
                 # empty middle, or the support projection in the middle is
                 # absorbed by an adjacent word with the same terminus
-                m = self._mono(mu, be)
+                m = self._meet(mu, be)
                 if m is not None:
                     yield m
                 return
             yield from self._extend(mu, be, self._succ[nu[-1] - 1])
         elif len(al) > len(nu) and al[: len(nu)] == nu:
-            m = self._mono(mu + al[len(nu) :], be)
-            if m is not None:
-                yield m
+            left = self._cat(mu, al[len(nu) :])
+            if left is not None:
+                yield Monomial(left, be)
         elif len(nu) > len(al) and nu[: len(al)] == al:
-            m = self._mono(mu, be + nu[len(al) :])
-            if m is not None:
-                yield m
+            right = self._cat(be, nu[len(al) :])
+            if right is not None:
+                yield Monomial(mu, right)
 
     def _multiply(self, x: CKElement, y: CKElement) -> CKElement:
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, numbers.Rational] = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 c = c1 * c2
@@ -371,7 +405,7 @@ class CuntzKriegerAlgebra:
             yield Monomial(mu + (j,), nu + (j,))
 
     def _refine_terms(self, terms: dict, depth: int) -> dict:
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, numbers.Rational] = {}
         symbols = range(1, self.n + 1)
         stack = list(terms.items())
         while stack:
@@ -392,6 +426,8 @@ class CuntzKriegerAlgebra:
         common right depth, linearly independent.
         """
         x._check_partner(y)
+        if x.terms == y.terms:
+            return True
         diff = dict(x.terms)
         for m, c in y.terms.items():
             diff[m] = diff.get(m, 0) - c
@@ -416,37 +452,40 @@ class CuntzKriegerAlgebra:
             return x
         # S_eta S_a S_b* S_eta* = S_{eta a} S_{eta b}*, zero when either
         # junction is inadmissible; distinct (eta, a, b) give distinct words
-        acc: dict[Monomial, Fraction] = {}
+        cat, meet = self._cat, self._meet
+        acc: dict[Monomial, numbers.Rational] = {}
         for eta in self.words(power):
             for (a, b), c in x.terms.items():
-                mono = self._mono(eta + a, eta + b)
-                if mono is not None:
-                    acc[mono] = c
+                left, right = cat(eta, a), cat(eta, b)
+                if left is not None and right is not None:
+                    mono = meet(left, right)
+                    if mono is not None:
+                        acc[mono] = c
         return CKElement(self, acc)
 
     def block_embedding(self, m: int, x: CKElement, cap: int = WORD_CAP) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
         to S_mu* x S_nu; a *-homomorphism into the block algebra.
 
-        S_mu* S_a S_b* S_nu can be nonzero only when mu is prefix-comparable
-        with a and nu with b, so only the rows reached from the left words of
-        x, and in each row only the columns reached from the right words of
-        S_mu* x, are multiplied out; the nonzero ones are the stored cells.
+        Each term c S_a S_b* of x adds c S_mu* S_a S_b* S_nu to the cell
+        (mu, nu), two products of bare monomials.  That is nonzero only when
+        mu is prefix-comparable with a, and nu with the right word of
+        S_mu* S_a S_b*, so only those rows and columns are visited; the
+        nonzero cells are the stored ones.
         """
         if m < 1:
             raise ValueError("block depth must be >= 1")
         index = self.words(m, cap=cap)
-        rows: set[int] = set()
-        for mono in x.terms:
-            rows.update(self._span(index, mono.left[:m]))
-        cells = {}
-        for r in sorted(rows):
-            left = self.s_star(index[r]) * x
-            cols: set[int] = set()
-            for mono in left.terms:
-                cols.update(self._span(index, mono.right[:m]))
-            for c in sorted(cols):
-                cells[r, c] = left * self.s(index[c])
+        span, pair = self._span, self._pair_products
+        acc: dict[tuple[int, int], dict] = {}
+        for term, c in x.terms.items():
+            for r in span(index, term.left[:m]):
+                for half in pair(((), index[r]), term):
+                    for col in span(index, half.right[:m]):
+                        cell = acc.setdefault((r, col), {})
+                        for mono in pair(half, (index[col], ())):
+                            cell[mono] = cell.get(mono, 0) + c
+        cells = {key: CKElement(self, terms) for key, terms in acc.items()}
         return BlockMatrix(self, m, index, cells)
 
     # -- witness blocks for the embedding identities -------------------------
@@ -503,9 +542,10 @@ class CuntzKriegerAlgebra:
             for eta in etas:
                 for mid in mids:
                     for row in span(index, eta + a + mid):
-                        for mu, cells in out.items():
-                            for col in span(index, eta + b + mid + mu):
-                                cells.add((row, col))
+                        # the columns are the words eta b mid mu, one per mu
+                        head = len(eta) + len(b) + len(mid)
+                        for col in span(index, eta + b + mid):
+                            out[index[col][head:]].add((row, col))
             return out
         out = {j: set() for j in range(1, self.n + 1)}
         for eta in etas:
@@ -556,7 +596,7 @@ class CuntzKriegerAlgebra:
                 )
             t, r = pos[m.left]
             _, col = pos[m.right]
-            grids[t][r][col] = c
+            grids[t][r][col] = Fraction(c)
         return BlockDiagonal(
             depth,
             {t: tuple(tuple(row) for row in grid) for t, grid in grids.items()},
@@ -721,28 +761,34 @@ def verify_relations(
     if not alg.equal(total, alg.identity):
         failures.append({"relation": "unit_decomposition"})
 
+    q = {j: alg.q(j) for j in range(1, n + 1)}
+    s_levels = {
+        k: [(wd, alg.s(wd)) for wd in alg.words(k)]
+        for k in range(1, max(max_word_len, max_state_len) + 1)
+    }
+
     for k in range(1, max_word_len + 1):
-        level = alg.words(k)
-        for mu in level:
+        level = s_levels[k]
+        for mu, _ in level:
             star = alg.s_star(mu)
-            for nu in level:
+            for nu, s_nu in level:
                 cases += 1
-                lhs = star * alg.s(nu)
-                rhs = alg.q(mu[-1]) if mu == nu else alg.zero
+                lhs = star * s_nu
+                rhs = q[mu[-1]] if mu == nu else alg.zero
                 if not alg.equal(lhs, rhs):
                     failures.append(
                         {"relation": "word_collapse", "mu": list(mu), "nu": list(nu)}
                     )
 
     for ke in range(1, max_state_len + 1):
-        for eta in alg.words(ke):
-            q_eta = alg.s_star(eta) * alg.s(eta)
+        for eta, s_eta in s_levels[ke]:
+            q_eta = alg.s_star(eta) * s_eta
             for ka in range(1, max_state_len + 1):
-                for a in alg.words(ka):
+                for a, s_a in s_levels[ka]:
                     cases += 1
-                    lhs = q_eta * alg.s(a)
+                    lhs = q_eta * s_a
                     factor = alg.matrix.entry(eta[-1], a[0])
-                    rhs = alg.s(a) if factor else alg.zero
+                    rhs = s_a if factor else alg.zero
                     if not alg.equal(lhs, rhs):
                         failures.append(
                             {
@@ -754,7 +800,7 @@ def verify_relations(
 
     for m in range(1, max_word_len + 1):
         cases += 1
-        acc = {Monomial(wd, wd): Fraction(1) for wd in alg.words(m)}
+        acc = {Monomial(wd, wd): 1 for wd in alg.words(m)}
         if not alg.equal(CKElement(alg, acc), alg.identity):
             failures.append({"relation": "depth_resolution", "m": m})
 
@@ -803,6 +849,8 @@ def verify_witness_decomposition(
     cases = 0
     failed_cases = 0
     injected = False
+    # S_mu for a block keyed by a word, Q_j for one keyed by a symbol
+    pieces: dict = {}
 
     alphas: list[Word] = [()]
     for k in range(1, n0 + 1):
@@ -827,11 +875,16 @@ def verify_witness_decomposition(
                     lhs = alg.block_embedding(m, alg.shift(gen, l), cap=cap)
                     rhs_cells: dict[tuple[int, int], CKElement] = {}
                     for key, units in blocks.items():
-                        piece = (
-                            alg.s(key) if isinstance(key, tuple) else alg.q(key)
-                        )
+                        piece = pieces.get(key)
+                        if piece is None:
+                            piece = pieces[key] = (
+                                alg.s(key) if isinstance(key, tuple) else alg.q(key)
+                            )
+                        # elements are immutable, so a cell that one unit
+                        # covers holds the shared piece itself
                         for cell in units:
-                            rhs_cells[cell] = rhs_cells.get(cell, alg.zero) + piece
+                            prev = rhs_cells.get(cell)
+                            rhs_cells[cell] = piece if prev is None else prev + piece
                     rhs = BlockMatrix(alg, m, index, rhs_cells)
                     for r, c in lhs._mismatches(rhs):
                         failures.append(

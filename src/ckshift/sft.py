@@ -173,13 +173,17 @@ def cylinder_probability(pd: ParryData, word) -> float:
 
 
 def markov_entropy(pd: ParryData) -> float:
-    """Entropy rate of the Markov measure, -sum_i pi_i sum_j P(i,j) log P(i,j)."""
-    total = 0.0
-    for i, pi in enumerate(pd.stationary):
-        for p in pd.stochastic[i]:
-            if p > 0.0:
-                total -= pi * p * math.log(p)
-    return total
+    """Entropy rate of the Markov measure, -sum_i pi_i sum_j P(i,j) log P(i,j).
+
+    The terms are summed by ``math.fsum``, so the sum adds no rounding of
+    its own however many edges there are.
+    """
+    return math.fsum(
+        -pi * p * math.log(p)
+        for pi, row in zip(pd.stationary, pd.stochastic)
+        for p in row
+        if p > 0.0
+    )
 
 
 def _support(pd: ParryData) -> TransitionMatrix:

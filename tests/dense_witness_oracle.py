@@ -10,12 +10,59 @@ shares code with the sparse paths in ``ck.py`` (witness units, the pruned
 block embedding, word lookup by bisection, stored cells), so agreement of
 the two is an independent check of them.  Admissibility of a concatenation
 is decided here by checking each junction, and the shift by multiplying out
-S_eta x S_eta*, where ``ck.py`` looks words up and concatenates.
+S_eta x S_eta*, where ``ck.py`` looks words up and concatenates.  Elements
+are multiplied here by ``product``, which walks every word of every result,
+where ``ck.py`` checks only the new junction and the termini and builds the
+embedding's cells from bare monomials.
 """
 
 import numpy as np
 
-from ckshift.ck import CKElement, VerificationReport
+from ckshift.ck import CKElement, Monomial, VerificationReport
+
+
+def _checked(alg, left, right):
+    """S_left S_right*, or None when it vanishes: a word is inadmissible or
+    the two termini have no common successor."""
+    entry = alg.matrix.entry
+    for word in (left, right):
+        if any(not entry(a, b) for a, b in zip(word, word[1:])):
+            return None
+    if left and right and not any(
+        entry(left[-1], j) and entry(right[-1], j) for j in range(1, alg.n + 1)
+    ):
+        return None
+    return Monomial(left, right)
+
+
+def _pair(alg, m1, m2):
+    """The monomials of (S_mu S_nu*)(S_al S_be*)."""
+    mu, nu = m1
+    al, be = m2
+    if nu == al:
+        if not nu or (mu and mu[-1] == nu[-1]) or (be and be[-1] == nu[-1]):
+            return [_checked(alg, mu, be)]
+        return [
+            _checked(alg, mu + (j,), be + (j,))
+            for j in range(1, alg.n + 1)
+            if alg.matrix.entry(nu[-1], j)
+        ]
+    if al[: len(nu)] == nu:
+        return [_checked(alg, mu + al[len(nu) :], be)]
+    if nu[: len(al)] == al:
+        return [_checked(alg, mu, be + nu[len(al) :])]
+    return []
+
+
+def product(alg, x, y):
+    """x y, summed over every pair of terms."""
+    acc = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            for mono in _pair(alg, m1, m2):
+                if mono is not None:
+                    acc[mono] = acc.get(mono, 0) + c1 * c2
+    return CKElement(alg, acc)
 
 
 def cat_admissible(alg, *parts):
@@ -39,7 +86,7 @@ def product_shift(alg, x, power):
     acc = {}
     for eta in alg.words(power):
         left = alg.s(eta)
-        for mono, c in (left * x * left.adjoint()).terms.items():
+        for mono, c in product(alg, product(alg, left, x), left.adjoint()).terms.items():
             acc[mono] = acc.get(mono, 0) + c
     return CKElement(alg, acc)
 
@@ -52,11 +99,11 @@ def dense_block_embedding(alg, m, x):
     zero_row = (alg.zero,) * len(index)
     entries = []
     for wd in index:
-        left = alg.s_star(wd) * x
+        left = product(alg, alg.s_star(wd), x)
         if left.is_zero:
             entries.append(zero_row)
         else:
-            entries.append(tuple(left * r for r in rights))
+            entries.append(tuple(product(alg, left, r) for r in rights))
     return tuple(entries)
 
 
@@ -74,7 +121,7 @@ def dense_product(alg, left, right):
                 b = right[k][j]
                 if not b.terms:
                     continue
-                prod = alg._multiply(a, b)
+                prod = product(alg, a, b)
                 acc = acc_row[j]
                 for mono, c in prod.terms.items():
                     acc[mono] = acc.get(mono, 0) + c

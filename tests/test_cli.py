@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,9 @@ from conftest import (
     seeded,
     sparse_irreducible,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -357,6 +361,25 @@ class TestVerifyCommands:
         assert code == 1
         payload = json.loads(out)
         assert payload["failures"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name,n0,n,fault,exit_code", [
+        ("golden", 2, 2, False, 0),
+        ("full2", 2, 1, False, 0),
+        ("full3", 1, 2, True, 1),
+    ])
+    def test_verify_lemma2_output_is_pinned(self, capsys, name, n0, n, fault, exit_code, fmt):
+        # byte for byte the stdout recorded in tests/data
+        argv = [
+            "verify-lemma2", "--matrix", str(DATA / f"{name}.txt"),
+            "--n0", str(n0), "--n", str(n), "--format", fmt,
+        ]
+        if fault:
+            argv.append("--inject-fault")
+        code, out, err = run(capsys, argv)
+        pinned = DATA / f"verify_lemma2_{name}_{n0}_{n}{'_fault' if fault else ''}.{fmt}.out"
+        assert (code, err) == (exit_code, "")
+        assert out.encode() == pinned.read_bytes()
 
     def test_verify_ck_fault_exits_1(self, capsys, golden_file):
         code, out, _ = run(capsys, ["verify-ck", "--matrix", golden_file, "--inject-fault"])

@@ -249,3 +249,18 @@ class TestParryEntropyInBracket:
             slack = self._error_bound(mat, perron, pd, h)
             assert slack < 1e-11
             assert math.log(perron.lower) - slack <= h <= math.log(perron.upper) + slack, mat
+
+    def test_markov_entropy_sums_its_terms_exactly(self):
+        # the 200-state period-4 matrix of the test above, whose 4,977 terms
+        # summed one by one in floats land 14 ulp below log(lower); summed
+        # exactly, the rest of the error (from the Parry vectors) is 2 ulp
+        rng = seeded(611)
+        for n, d in ((40, 0.3), (120, 0.1), (200, 0.05)):
+            random_irreducible(rng, n, density=d)
+        for n, p in ((30, 2), (60, 5)):
+            periodic_irreducible(rng, n, p)
+        mat = periodic_irreducible(rng, 200, 4)
+        perron = spectral_radius(mat)
+        h = markov_entropy(parry_measure(mat))
+        ulp = math.ulp(h)
+        assert math.log(perron.lower) - 4 * ulp <= h <= math.log(perron.upper) + 4 * ulp

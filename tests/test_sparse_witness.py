@@ -9,7 +9,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ckshift import BlockMatrix, CuntzKriegerAlgebra, validate, verify_witness_decomposition
+from ckshift import (
+    BlockMatrix,
+    CKElement,
+    CuntzKriegerAlgebra,
+    validate,
+    verify_witness_decomposition,
+)
 from ckshift.ck import _is_partial_permutation
 
 from conftest import (
@@ -108,15 +114,31 @@ def test_witness_blocks_match_dense_oracle(algebras):
                         assert np.array_equal(block, want[key])
 
 
+def _shifted_generators(alg):
+    """S_alpha P_i S_beta* shifted l <= 2 times, |beta| <= |alpha| <= 1."""
+    out = []
+    for alpha in ((), (1,), (alg.n,)):
+        for beta in ((), (1,)) if alpha else ((),):
+            for i in range(1, alg.n + 1):
+                gen = alg.generator(alpha, i, beta)
+                out += [alg.shift(gen, l) for l in range(3)]
+    return out
+
+
 def test_block_embedding_matches_dense_oracle(algebras):
+    # the same stored terms in every cell, not merely equal elements
     rng = seeded(2024)
-    for alg in algebras.values():
-        elements = [alg.identity, alg.zero]
-        elements += [random_monomial(alg, rng) for _ in range(6)]
+    perm2 = CuntzKriegerAlgebra(validate(PERM2_ROWS))
+    for alg in [*algebras.values(), perm2]:
+        elements = [alg.identity, alg.zero, -alg.identity, Fraction(2, 3) * alg.q(1)]
+        for _ in range(6):
+            coeff = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randrange(1, 4))
+            elements.append(coeff * random_monomial(alg, rng))
         elements += [random_degree_zero(alg, rng) for _ in range(3)]
-        elements += [alg.shift(alg.generator((1,), 1, ()), 1)]
+        elements.append(random_monomial(alg, rng) - 2 * random_degree_zero(alg, rng))
+        elements += _shifted_generators(alg)
         for x in elements:
-            for m in (1, 2, 3):
+            for m in (1, 2, 3, 4):
                 got = alg.block_embedding(m, x)
                 assert got.index == alg.words(m)
                 assert got.entries == dense_block_embedding(alg, m, x)
@@ -159,6 +181,59 @@ def test_product_adjoint_and_equals_match_dense_oracle(algebras):
                 assert bx.adjoint().entries == dense_adjoint(dx)
                 for left, right in ((bx, by), (bx * by, alg.block_embedding(m, x * y))):
                     assert left.equals(right) == dense_equals(alg, left.entries, right.entries)
+
+
+def test_equal_on_equal_terms_needs_no_refinement(algebras, monkeypatch):
+    rng = seeded(515)
+    for alg in algebras.values():
+        elements = [alg.identity, alg.zero, alg.q(1)]
+        elements += [random_monomial(alg, rng) for _ in range(4)]
+        elements += [random_degree_zero(alg, rng) for _ in range(4)]
+        for x in elements:
+            assert alg.equal(x, x)
+            assert alg.equal(x, CKElement(alg, dict(x.terms)))
+            assert alg.equal(x, 2 * (Fraction(1, 2) * x))
+        # equal but stored differently: this needs the refinement
+        total = alg.zero
+        for j in range(1, alg.n + 1):
+            total = total + alg.p(j)
+        assert alg.equal(total, alg.identity)
+
+        def refuse(terms, depth):
+            raise AssertionError("refined terms that are stored equal")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(alg, "_refine_terms", refuse)
+            for x in elements:
+                assert alg.equal(x, CKElement(alg, dict(x.terms)))
+            with pytest.raises(AssertionError):
+                alg.equal(total, alg.identity)
+
+
+def test_a_cell_in_two_witness_blocks_holds_their_sum(monkeypatch):
+    # the witness side is the sum of block (x) piece over all blocks, so a
+    # unit that two blocks share gives S_mu + S_mu' there, not the last piece
+    alg = CuntzKriegerAlgebra(validate(GOLDEN_ROWS))
+    real = alg._witness_units
+    shared = []
+
+    def overlapping(*args, **kwargs):
+        blocks = real(*args, **kwargs)
+        nonempty = [units for units in blocks.values() if units]
+        if len(nonempty) > 1 and not shared:
+            shared.append(min(nonempty[-1]))
+            nonempty[0].add(shared[0])
+        return blocks
+
+    monkeypatch.setattr(alg, "_witness_units", overlapping)
+    report = verify_witness_decomposition(alg, 1, 1)
+    index = alg.words(2)
+    r, c = shared[0]
+    assert {"row": list(index[r]), "col": list(index[c])} in [
+        {"row": f["row"], "col": f["col"]}
+        for f in report.failures
+        if f["kind"] == "entry_mismatch"
+    ]
 
 
 def _block(alg, cells):
