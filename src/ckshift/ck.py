@@ -506,19 +506,6 @@ class CuntzKriegerAlgebra:
         Each block is a dense w(m) x w(m) int64 array; the verifier works on
         the sparse unit sets underneath.
         """
-        units = self._witness_units(alpha, beta, i, l, m, cap=cap)
-        w = len(self.words(m, cap=cap))
-        out = {}
-        for key, cells in units.items():
-            block = np.zeros((w, w), dtype=np.int64)
-            for r, c in cells:
-                block[r, c] = 1
-            out[key] = block
-        return out
-
-    def _witness_units(self, alpha, beta, i: int, l: int, m: int, cap: int = WORD_CAP) -> dict:
-        """The witness blocks of ``witness_blocks``, each as the set of its
-        (row, col) matrix units, keyed (and ordered) the same way."""
         a, b = self._generator_words(alpha, i, beta)
         if len(b) > len(a):
             raise WitnessPreconditionError(
@@ -530,6 +517,23 @@ class CuntzKriegerAlgebra:
             raise WitnessPreconditionError(
                 f"block depth m = {m} is below l + 1 + |alpha| = {l + 1 + len(a)}"
             )
+        units = self._witness_units(a, b, i, l, m, cap=cap)
+        w = len(self.words(m, cap=cap))
+        out = {}
+        for key, cells in units.items():
+            block = np.zeros((w, w), dtype=np.int64)
+            for r, c in cells:
+                block[r, c] = 1
+            out[key] = block
+        return out
+
+    def _witness_units(
+        self, a: Word, b: Word, i: int, l: int, m: int, cap: int = WORD_CAP
+    ) -> dict:
+        """The witness blocks of ``witness_blocks``, each as the set of its
+        (row, col) matrix units, keyed (and ordered) the same way.  The
+        arguments are trusted: a and b are admissible word tuples with
+        |b| <= |a|, and 0 <= l <= m - 1 - |a|."""
         index = self.words(m, cap=cap)
         span = self._span
         mid_len = m - l - len(a)
@@ -865,6 +869,8 @@ def verify_witness_decomposition(
                 for l in range(n):
                     cases += 1
                     case_failures = len(failures)
+                    # alpha and beta are admissible, |beta| <= |alpha| <= n0
+                    # and l < n, so the case meets witness_blocks' checks
                     blocks = alg._witness_units(alpha, beta, i, l, m, cap=cap)
                     if inject_fault and not injected:
                         for units in blocks.values():

@@ -7,7 +7,8 @@ word counts) is computed in exact arbitrary-precision integer arithmetic.
 The Perron vectors are found in floating point (power iteration, with
 Noda's inverse iteration where the spectral gap is small), and the spectral
 radius is then certified by exact integer Collatz-Wielandt bounds on those
-vectors.
+vectors.  Those bounds sum over the successor and predecessor lists in
+Python integers, by the same exact step as the word counts.
 """
 
 from __future__ import annotations
@@ -226,10 +227,9 @@ def is_irreducible(mat: TransitionMatrix) -> bool:
 
 def is_permutation(mat: TransitionMatrix) -> bool:
     """True iff every row and every column contains exactly one 1."""
-    n = mat.n
-    if any(sum(row) != 1 for row in mat.entries):
-        return False
-    return all(sum(mat.entries[i][j] for i in range(n)) == 1 for j in range(n))
+    return all(len(row) == 1 for row in mat.successors) and all(
+        len(col) == 1 for col in mat.predecessors
+    )
 
 
 def _matmul(a, b):
@@ -271,6 +271,14 @@ def matrix_power(mat: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
 def _matvec(a, v):
     """Exact integer product of a list-of-list matrix and a vector."""
     return [sum(map(operator.mul, row, v)) for row in a]
+
+
+def _adjacency_matvec(adjacency, v: list[int]) -> list[int]:
+    """A v, exactly, for the 0/1 matrix A whose row i lists its nonzero
+    columns (1-based) in adjacency[i - 1]: ``mat.successors`` gives A and
+    ``mat.predecessors`` its transpose."""
+    get = [0, *v].__getitem__
+    return [sum(map(get, row)) for row in adjacency]
 
 
 def _power_vector(mat: IntMatrix, e: int) -> list[int]:
@@ -315,13 +323,12 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     """
     if k_min < 1:
         raise ValueError("word length must be >= 1")
-    succ = [[j - 1 for j in row] for row in mat.successors]
     v = _power_vector(mat, k_min - 1)
     counts = []
     for k in range(k_min, k_max + 1):
         counts.append(sum(v))
         if k < k_max:
-            v = [sum(map(v.__getitem__, row)) for row in succ]
+            v = _adjacency_matvec(mat.successors, v)
     return counts
 
 
@@ -445,34 +452,23 @@ def _float_below(num: int, den: int) -> float:
 
 
 def _float_above(num: int, den: int) -> float:
-    """The smallest float >= num / den (den > 0)."""
-    x = num / den
+    """The smallest float >= num / den (den > 0), inf past the largest."""
+    try:
+        x = num / den
+    except OverflowError:
+        return math.inf
     a, b = x.as_integer_ratio()
     return math.nextafter(x, math.inf) if a * den < num * b else x
 
 
-def _exact_matvec(a: np.ndarray, u: list[int]) -> list[int]:
-    """a @ u exactly, for a 0/1 float matrix a with fewer than 2^29 columns
-    and nonnegative integers u.  u is cut into 24-bit limbs; each entry of
-    a @ limb adds fewer than 2^29 integers below 2^24, so every partial sum
-    is an integer below 2^53, exact in floats in whatever order the BLAS
-    adds."""
-    mask = (1 << 24) - 1
-    out = [0] * len(u)
-    for shift in range(0, max(u).bit_length(), 24):
-        limb = np.array([(x >> shift) & mask for x in u], dtype=float)
-        for i, part in enumerate((a @ limb).tolist()):
-            out[i] += int(part) << shift
-    return out
-
-
-def _collatz_wielandt(a: np.ndarray, vec) -> tuple[float, float]:
-    """Floats lo <= min_i (a u)_i / u_i and hi >= max_i (a u)_i / u_i for
-    the 0/1 float matrix a and the positive vector u = vec.  The ratios are
-    compared exactly, by integer cross-products; for irreducible a, r(a)
+def _collatz_wielandt(adjacency, vec) -> tuple[float, float]:
+    """Floats lo <= min_i (A u)_i / u_i and hi >= max_i (A u)_i / u_i for
+    the 0/1 matrix A given by its adjacency lists (as in
+    ``_adjacency_matvec``) and the positive vector u = vec.  The ratios are
+    compared exactly, by integer cross-products; for irreducible A, r(A)
     lies in [lo, hi] (Collatz-Wielandt; Seneta, ch. 1)."""
     u = _scaled(vec)
-    sums = _exact_matvec(a, u)
+    sums = _adjacency_matvec(adjacency, u)
     lo = hi = 0
     for i in range(1, len(u)):
         if sums[i] * u[lo] < sums[lo] * u[i]:
@@ -519,8 +515,8 @@ def spectral_radius(
     left, it_left = _perron_vector(shifted.T, inner, max_iterations)
     iterations = it_right + it_left
     u, v = right.tolist(), left.tolist()
-    lo_right, hi_right = _collatz_wielandt(base, u)
-    lo_left, hi_left = _collatz_wielandt(base.T, v)
+    lo_right, hi_right = _collatz_wielandt(mat.successors, u)
+    lo_left, hi_left = _collatz_wielandt(mat.predecessors, v)
     lower = max(lo_right, lo_left)
     upper = min(hi_right, hi_left)
     if upper - lower > tol:

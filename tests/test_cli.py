@@ -381,6 +381,20 @@ class TestVerifyCommands:
         assert (code, err) == (exit_code, "")
         assert out.encode() == pinned.read_bytes()
 
+    @pytest.mark.parametrize("base", ["natural", "bits"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["golden", "random3", "cycle12"])
+    @pytest.mark.parametrize("command", ["entropy", "parry", "convergence"])
+    def test_float_output_is_pinned(self, capsys, command, name, fmt, base):
+        # byte for byte the stdout recorded in tests/data, at the default
+        # --tol; cycle12 is the 12-cycle with a loop at symbol 1
+        code, out, err = run(capsys, [
+            command, "--matrix", str(DATA / f"{name}.txt"),
+            "--format", fmt, "--base", base,
+        ])
+        assert (code, err) == (0, "")
+        assert out.encode() == (DATA / f"{command}_{name}_{base}.{fmt}.out").read_bytes()
+
     def test_verify_ck_fault_exits_1(self, capsys, golden_file):
         code, out, _ = run(capsys, ["verify-ck", "--matrix", golden_file, "--inject-fault"])
         assert code == 1

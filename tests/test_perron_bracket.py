@@ -25,6 +25,7 @@ from ckshift import (
     validate,
     word_count,
 )
+from ckshift import matrix
 
 from conftest import (
     GOLDEN_ROWS,
@@ -173,6 +174,32 @@ class TestCertifiedBracket:
                 pd = spectral_radius(mat, tol)
             assert pd.iterations == plain
             _check_bracket(mat, pd, tol)
+
+
+class TestCertificateOnArbitraryVectors:
+    """The exact bracket of any positive float vector, not only of a Perron
+    vector, is rounded outward by at most one float.  Entries 2^2000 apart
+    put some ratios past the largest float, and others below the least."""
+
+    def test_bounds_are_the_nearest_floats_outside(self):
+        rng = seeded(605)
+        largest = Fraction(math.nextafter(math.inf, 0.0))
+        for mat in _matrices():
+            for adjacency in (mat.successors, mat.predecessors):
+                for _ in range(5):
+                    vec = [
+                        math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1000, 1000))
+                        for _ in range(mat.n)
+                    ]
+                    lo, hi = matrix._collatz_wielandt(adjacency, vec)
+                    low, high = _collatz_wielandt(adjacency, vec)
+                    # lo is the largest float <= low, which is at most r(A)
+                    assert Fraction(lo) <= low < Fraction(math.nextafter(lo, math.inf))
+                    # hi is the smallest float >= high, inf when there is none
+                    if hi == math.inf:
+                        assert high > largest
+                    else:
+                        assert Fraction(math.nextafter(hi, -math.inf)) < high <= Fraction(hi)
 
 
 class TestRouteSandwich:
