@@ -381,6 +381,13 @@ class TestVerifyCommands:
         assert (code, err) == (exit_code, "")
         assert out.encode() == pinned.read_bytes()
 
+    def test_verify_ck_fault_exits_1(self, capsys, golden_file):
+        code, out, _ = run(capsys, ["verify-ck", "--matrix", golden_file, "--inject-fault"])
+        assert code == 1
+        assert json.loads(out)["failures"]
+
+
+class TestPinnedFloatOutput:
     @pytest.mark.parametrize("base", ["natural", "bits"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["golden", "random3", "cycle12"])
@@ -394,11 +401,6 @@ class TestVerifyCommands:
         ])
         assert (code, err) == (0, "")
         assert out.encode() == (DATA / f"{command}_{name}_{base}.{fmt}.out").read_bytes()
-
-    def test_verify_ck_fault_exits_1(self, capsys, golden_file):
-        code, out, _ = run(capsys, ["verify-ck", "--matrix", golden_file, "--inject-fault"])
-        assert code == 1
-        assert json.loads(out)["failures"]
 
 
 class TestProcessLevel:
