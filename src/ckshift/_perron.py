@@ -1,0 +1,149 @@
+"""Floating-point search for the Perron vectors of a transition matrix.
+
+The only module of the package that imports numpy at load time.
+``matrix.spectral_radius`` imports it on first use, so the exact work
+(validation, word counts, the edge-matrix factorization and the generator
+algebra) never loads numpy.  Each Perron vector of A + I comes from power
+iteration, with Noda's inverse iteration where the spectral gap is small;
+``matrix`` then certifies the radius in exact integer arithmetic and asks
+this module for the float residual of the pair.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .matrix import NoConvergenceError, TransitionMatrix
+
+
+def adjacency(mat: TransitionMatrix) -> np.ndarray:
+    """A as a float array, filled from its successor lists."""
+    n = mat.n
+    rows = [i for i, succ in enumerate(mat.successors) for _ in succ]
+    cols = [j - 1 for succ in mat.successors for j in succ]
+    a = np.zeros((n, n))
+    a[rows, cols] = 1.0
+    return a
+
+
+def _power_loop(m: np.ndarray, tol: float, max_iterations: int, v: np.ndarray):
+    """Power iteration for a nonnegative irreducible matrix with positive
+    diagonal, from the positive vector v summing to 1.
+
+    Returns (eigenvalue, vector summing to 1, residual, iterations,
+    converged).  The eigenvalue estimate is the midpoint of the componentwise
+    ratio bounds lo and hi, which bracket the true Perron root at every
+    step.  One product m @ v per step: the product that measures a step's
+    residual is the next step's w, and the residual is only computed once
+    the bracket is within tol.
+
+    Stops unconverged when the budget is spent, or when n steps in a row
+    neither lower hi nor raise lo past their best so far.  In exact
+    arithmetic that never happens short of an eigenvector: m^(n-1) is
+    positive, so each ratio n - 1 steps on is a positive average of the
+    ratios now.  In floats it means rounding has taken over and no later
+    step can do better.
+    """
+    n = m.shape[0]
+    w = m @ v
+    lam = math.nan
+    residual = math.inf
+    best_lo, best_hi = -math.inf, math.inf
+    flat = 0
+    for it in range(1, max_iterations + 1):
+        ratios = w / v
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        lam = 0.5 * (lo + hi)
+        v = w / w.sum()
+        w = m @ v
+        if hi - lo <= tol:
+            residual = float(np.abs(w - lam * v).max())
+            if residual <= tol:
+                return lam, v, residual, it, True
+        if lo > best_lo or hi < best_hi:
+            best_lo, best_hi = max(lo, best_lo), min(hi, best_hi)
+            flat = 0
+        else:
+            flat += 1
+            if flat >= n:
+                return lam, v, residual, it, False
+    return lam, v, residual, max_iterations, False
+
+
+def _noda(m: np.ndarray, tol: float, max_steps: int, v: np.ndarray):
+    """Noda's inverse iteration for a nonnegative irreducible matrix, from
+    the positive vector v summing to 1.
+
+    Each step shifts by the Collatz-Wielandt upper bound sigma = max_i
+    (m v)_i / v_i and solves (sigma I - m) y = v.  For sigma above the
+    Perron root that inverse is a positive matrix, so y stays positive; the
+    shift decreases to the root quadratically (Noda, Numer. Math. 17, 1971;
+    Elsner, Numer. Math. 26, 1976).  Stops once the ratio bracket is within
+    tol, after ``max_steps`` steps, as soon as the shift fails to decrease
+    (rounding has taken over), or at the first solve that fails or gives a
+    vector that is not finite and positive, keeping the last good vector.
+    Returns (vector summing to 1, steps taken).
+    """
+    eye = np.eye(m.shape[0])
+    last = math.inf
+    steps = 0
+    while steps < max_steps:
+        ratios = (m @ v) / v
+        sigma = float(ratios.max())
+        if sigma - float(ratios.min()) <= tol or sigma >= last:
+            break
+        last = sigma
+        try:
+            y = np.linalg.solve(sigma * eye - m, v)
+        except np.linalg.LinAlgError:
+            break
+        if not (np.isfinite(y).all() and y.min() > 0.0):
+            break
+        v = y / y.sum()
+        steps += 1
+    return v, steps
+
+
+def _perron_vector(m: np.ndarray, tol: float, max_iterations: int):
+    """Perron vector of m, and the steps spent on it.
+
+    Power iteration runs first, for at most n // 3 + 1 steps, at n^2
+    multiplications a step: about the n^3 / 3 of one LU factorization.  A
+    matrix with a large spectral gap, one that mixes quickly, is done there.
+    One with a small gap, such as a long cycle with few chords, goes on to
+    Noda steps from that vector, and the power loop finishes from theirs as
+    the stopping test.  All three count against ``max_iterations``, and at
+    least one step is left to the last loop.  A loop that stalls at a float
+    fixed point ends the search, leaving the verdict to the exact bracket.
+    """
+    n = m.shape[0]
+    probe = min(n // 3 + 1, max_iterations)
+    _, v, _, used, converged = _power_loop(m, tol, probe, np.full(n, 1.0 / n))
+    if converged:
+        return v, used
+    v, steps = _noda(m, tol, max_iterations - used - 1, v)
+    used += steps
+    _, v, _, it, converged = _power_loop(m, tol, max_iterations - used, v)
+    if not converged and used + it == max_iterations:
+        raise NoConvergenceError(max_iterations)
+    return v, used + it
+
+
+def perron_vectors(a: np.ndarray, tol: float, max_iterations: int):
+    """Right and left Perron vectors of the float 0/1 matrix a, each
+    summing to 1 and found on a + I, and the steps spent on both; each
+    vector's steps count against ``max_iterations`` on their own."""
+    shifted = a + np.eye(a.shape[0])
+    right, it_right = _perron_vector(shifted, tol, max_iterations)
+    left, it_left = _perron_vector(shifted.T, tol, max_iterations)
+    return right, left, it_right + it_left
+
+
+def residual(a: np.ndarray, radius: float, right: np.ndarray, left: np.ndarray) -> float:
+    """max(inf-norm of a u - radius u, inf-norm of a^T v - radius v)."""
+    resid_right = float(np.abs(a @ right - radius * right).max())
+    resid_left = float(np.abs(a.T @ left - radius * left).max())
+    return max(resid_right, resid_left)

@@ -24,8 +24,9 @@ comparisons visit the stored cells alone, and the witness verifier compares
 the block embedding with the witness side through the same comparison.  The
 zero-one witness blocks are partial permutation matrices, kept as the sets
 of their (row, column) units; ``witness_blocks`` is a dense numpy view of
-them.  The finite-dimensional block picture of the degree-zero part uses
-exact Fractions.
+them, and the one place here that imports numpy, when it is called.  The
+finite-dimensional block picture of the degree-zero part uses exact
+Fractions.
 
 The block embedding is built term by term: the cell (mu, nu) of S_a S_b* is
 S_mu* S_a S_b* S_nu, two products of bare monomials, and a product of
@@ -46,8 +47,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from .matrix import TransitionMatrix, _matmul
 from .sft import (
@@ -517,6 +516,8 @@ class CuntzKriegerAlgebra:
             raise WitnessPreconditionError(
                 f"block depth m = {m} is below l + 1 + |alpha| = {l + 1 + len(a)}"
             )
+        import numpy as np
+
         units = self._witness_units(a, b, i, l, m, cap=cap)
         w = len(self.words(m, cap=cap))
         out = {}

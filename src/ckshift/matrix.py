@@ -9,6 +9,11 @@ Noda's inverse iteration where the spectral gap is small), and the spectral
 radius is then certified by exact integer Collatz-Wielandt bounds on those
 vectors.  Those bounds sum over the successor and predecessor lists in
 Python integers, by the same exact step as the word counts.
+
+The float search is the private module ``_perron``, the one place numpy is
+used; ``spectral_radius`` imports it on first use.  Everything else here is
+pure Python, so validation, word counts and ``dual_matrix`` never load
+numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 __all__ = [
     "MatrixError",
@@ -332,110 +335,6 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     return counts
 
 
-def _power_loop(m: np.ndarray, tol: float, max_iterations: int, v: np.ndarray):
-    """Power iteration for a nonnegative irreducible matrix with positive
-    diagonal, from the positive vector v summing to 1.
-
-    Returns (eigenvalue, vector summing to 1, residual, iterations,
-    converged).  The eigenvalue estimate is the midpoint of the componentwise
-    ratio bounds lo and hi, which bracket the true Perron root at every
-    step.  One product m @ v per step: the product that measures a step's
-    residual is the next step's w, and the residual is only computed once
-    the bracket is within tol.
-
-    Stops unconverged when the budget is spent, or when n steps in a row
-    neither lower hi nor raise lo past their best so far.  In exact
-    arithmetic that never happens short of an eigenvector: m^(n-1) is
-    positive, so each ratio n - 1 steps on is a positive average of the
-    ratios now.  In floats it means rounding has taken over and no later
-    step can do better.
-    """
-    n = m.shape[0]
-    w = m @ v
-    lam = math.nan
-    residual = math.inf
-    best_lo, best_hi = -math.inf, math.inf
-    flat = 0
-    for it in range(1, max_iterations + 1):
-        ratios = w / v
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        lam = 0.5 * (lo + hi)
-        v = w / w.sum()
-        w = m @ v
-        if hi - lo <= tol:
-            residual = float(np.abs(w - lam * v).max())
-            if residual <= tol:
-                return lam, v, residual, it, True
-        if lo > best_lo or hi < best_hi:
-            best_lo, best_hi = max(lo, best_lo), min(hi, best_hi)
-            flat = 0
-        else:
-            flat += 1
-            if flat >= n:
-                return lam, v, residual, it, False
-    return lam, v, residual, max_iterations, False
-
-
-def _noda(m: np.ndarray, tol: float, max_steps: int, v: np.ndarray):
-    """Noda's inverse iteration for a nonnegative irreducible matrix, from
-    the positive vector v summing to 1.
-
-    Each step shifts by the Collatz-Wielandt upper bound sigma = max_i
-    (m v)_i / v_i and solves (sigma I - m) y = v.  For sigma above the
-    Perron root that inverse is a positive matrix, so y stays positive; the
-    shift decreases to the root quadratically (Noda, Numer. Math. 17, 1971;
-    Elsner, Numer. Math. 26, 1976).  Stops once the ratio bracket is within
-    tol, after ``max_steps`` steps, as soon as the shift fails to decrease
-    (rounding has taken over), or at the first solve that fails or gives a
-    vector that is not finite and positive, keeping the last good vector.
-    Returns (vector summing to 1, steps taken).
-    """
-    eye = np.eye(m.shape[0])
-    last = math.inf
-    steps = 0
-    while steps < max_steps:
-        ratios = (m @ v) / v
-        sigma = float(ratios.max())
-        if sigma - float(ratios.min()) <= tol or sigma >= last:
-            break
-        last = sigma
-        try:
-            y = np.linalg.solve(sigma * eye - m, v)
-        except np.linalg.LinAlgError:
-            break
-        if not (np.isfinite(y).all() and y.min() > 0.0):
-            break
-        v = y / y.sum()
-        steps += 1
-    return v, steps
-
-
-def _perron_vector(m: np.ndarray, tol: float, max_iterations: int):
-    """Perron vector of m, and the steps spent on it.
-
-    Power iteration runs first, for at most n // 3 + 1 steps, at n^2
-    multiplications a step: about the n^3 / 3 of one LU factorization.  A
-    matrix with a large spectral gap, one that mixes quickly, is done there.
-    One with a small gap, such as a long cycle with few chords, goes on to
-    Noda steps from that vector, and the power loop finishes from theirs as
-    the stopping test.  All three count against ``max_iterations``, and at
-    least one step is left to the last loop.  A loop that stalls at a float
-    fixed point ends the search, leaving the verdict to the exact bracket.
-    """
-    n = m.shape[0]
-    probe = min(n // 3 + 1, max_iterations)
-    _, v, _, used, converged = _power_loop(m, tol, probe, np.full(n, 1.0 / n))
-    if converged:
-        return v, used
-    v, steps = _noda(m, tol, max_iterations - used - 1, v)
-    used += steps
-    _, v, _, it, converged = _power_loop(m, tol, max_iterations - used, v)
-    if not converged and used + it == max_iterations:
-        raise NoConvergenceError(max_iterations)
-    return v, used + it
-
-
 def _scaled(vec) -> list[int]:
     """Positive integers proportional to a positive float vector, exactly:
     each float times one common power of two."""
@@ -494,7 +393,8 @@ def spectral_radius(
     A) and of the left vector (under the transpose), in integer arithmetic,
     are intersected and rounded outward to ``lower`` and ``upper``, and
     ``radius`` is their midpoint.  When rounding stalls the float iteration
-    short of tol / 4, the exact bracket alone decides.
+    short of tol / 4, the exact bracket alone decides.  The float search
+    and the residual are numpy's, in ``_perron``; the certificate is not.
 
     Budget: power and Noda steps together count against ``max_iterations``
     for each vector, and ``iterations`` is their sum over both vectors.
@@ -508,12 +408,10 @@ def spectral_radius(
         raise ValueError("tolerance must be positive and finite")
     if not is_irreducible(mat):
         raise NotIrreducibleError("matrix is not irreducible")
-    base = np.array(mat.entries, dtype=float)
-    shifted = base + np.eye(mat.n)
-    inner = tol / 4.0
-    right, it_right = _perron_vector(shifted, inner, max_iterations)
-    left, it_left = _perron_vector(shifted.T, inner, max_iterations)
-    iterations = it_right + it_left
+    from . import _perron
+
+    base = _perron.adjacency(mat)
+    right, left, iterations = _perron.perron_vectors(base, tol / 4.0, max_iterations)
     u, v = right.tolist(), left.tolist()
     lo_right, hi_right = _collatz_wielandt(mat.successors, u)
     lo_left, hi_left = _collatz_wielandt(mat.predecessors, v)
@@ -526,9 +424,7 @@ def spectral_radius(
             f"{upper - lower:.3e} wide, more than tol {tol:.3e}",
         )
     radius = 0.5 * (lower + upper)
-    resid_right = float(np.abs(base @ right - radius * right).max())
-    resid_left = float(np.abs(base.T @ left - radius * left).max())
-    residual = max(resid_right, resid_left)
+    residual = _perron.residual(base, radius, right, left)
     if residual > tol:
         raise NoConvergenceError(
             iterations,
@@ -545,13 +441,27 @@ def spectral_radius(
     )
 
 
+# the most cells dual_matrix builds its edge matrix with, sized like
+# sft.WORD_CAP: near the cap, ``ckshift dual`` needs about a gigabyte
+_EDGE_CELL_CAP = 10_000_000
+
+
 def dual_matrix(mat: IntMatrix) -> DualDecomposition:
     """Edge construction for a nonnegative integer matrix M.
 
     The edge alphabet has one symbol (i, j, t) per unit of M(i, j); two
     edges are composable exactly when the first ends where the second
     starts.  The returned factors satisfy S T = M and T S = A' exactly.
+
+    Raises MatrixError, before allocating anything, when the edge matrix
+    would have more than ``_EDGE_CELL_CAP`` cells.
     """
+    ecount = sum(map(sum, mat.entries))
+    if ecount * ecount > _EDGE_CELL_CAP:
+        raise MatrixError(
+            f"{ecount} edges give an edge matrix of {ecount * ecount} cells, "
+            f"more than the cap of {_EDGE_CELL_CAP}"
+        )
     n = mat.n
     labels = [
         (i, j, t)
@@ -559,7 +469,6 @@ def dual_matrix(mat: IntMatrix) -> DualDecomposition:
         for j in range(1, n + 1)
         for t in range(1, mat.entry(i, j) + 1)
     ]
-    ecount = len(labels)
     a_prime_rows = [
         [1 if labels[r][1] == labels[c][0] else 0 for c in range(ecount)]
         for r in range(ecount)

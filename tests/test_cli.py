@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,19 @@ class TestDual:
         assert payload["edge_count"] == 3
         assert payload["edges"] == [[1, 2, 1], [1, 2, 2], [2, 1, 1]]
         assert payload["a_prime"] == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+
+    def test_edge_matrix_past_the_cap_exits_2_at_once(self, capsys, tmp_path):
+        # 100000 parallel edges would make a 10^10-cell edge matrix
+        path = tmp_path / "big.txt"
+        path.write_text("100000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["dual", "--matrix", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 100000 edges give an edge matrix of 10000000000 cells, "
+            "more than the cap of 10000000\n"
+        )
 
 
 class TestConvergence:

@@ -1,0 +1,97 @@
+"""numpy is loaded only by the float Perron search and by ``witness_blocks``.
+
+Each check runs in a fresh interpreter, since the test process itself has
+numpy loaded already.  The exact subcommands (``validate``, ``words``,
+``dual``, ``verify-ck``, ``verify-lemma2``) must finish without importing
+it, and the float results computed after it is loaded on demand must be the
+same as in a process that imported numpy before anything else.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+
+if sys.argv[1] == "numpy-first":
+    import numpy  # noqa: F401
+
+import ckshift
+import ckshift.cli
+
+report = {"after import": "numpy" in sys.modules, "runs": []}
+if sys.argv[1] == "exact-first":
+    for argv in json.loads(sys.argv[2]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = ckshift.cli.main(argv)
+        report["runs"].append([argv[0], code, "numpy" in sys.modules])
+
+golden = ckshift.load_matrix(sys.argv[3])
+report["spectral_radius"] = repr(ckshift.spectral_radius(golden))
+report["after spectral_radius"] = "numpy" in sys.modules
+alg = ckshift.CuntzKriegerAlgebra(golden)
+report["witness_blocks"] = repr(alg.witness_blocks((1, 1), (2,), 1, 1, 4))
+print(json.dumps(report))
+"""
+
+
+def _run(mode, runs, golden):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, mode, json.dumps(runs), golden],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_subcommands_never_load_numpy(tmp_path):
+    golden = str(DATA / "golden.txt")
+    full3 = str(DATA / "full3.txt")
+    int_file = tmp_path / "int.txt"
+    int_file.write_text("0 2\n1 0\n")
+    zero_row = tmp_path / "zero_row.txt"
+    zero_row.write_text("1 1\n0 0\n")
+    runs = [
+        ["validate", "--matrix", golden],
+        ["validate", "--format", "json", "--matrix", full3],
+        ["words", "--k-max", "4", "--matrix", golden],
+        ["dual", "--format", "json", "--matrix", str(int_file)],
+        ["verify-ck", "--matrix", full3],
+        ["verify-ck", "--inject-fault", "--matrix", golden],
+        ["verify-lemma2", "--n0", "2", "--n", "2", "--matrix", golden],
+        ["verify-lemma2", "--n0", "1", "--n", "2", "--inject-fault", "--matrix", full3],
+        ["validate", "--matrix", str(zero_row)],
+    ]
+    lazy = _run("exact-first", runs, golden)
+    assert lazy["after import"] is False
+    assert lazy["runs"] == [
+        ["validate", 0, False],
+        ["validate", 0, False],
+        ["words", 0, False],
+        ["dual", 0, False],
+        ["verify-ck", 0, False],
+        ["verify-ck", 1, False],
+        ["verify-lemma2", 0, False],
+        ["verify-lemma2", 1, False],
+        ["validate", 2, False],
+    ]
+    # the float search loads numpy where it is called, and gives the same
+    # results, bit for bit, as with numpy loaded from the start
+    assert lazy["after spectral_radius"] is True
+    eager = _run("numpy-first", [], golden)
+    assert eager["after import"] is True
+    assert lazy["spectral_radius"] == eager["spectral_radius"]
+    assert lazy["witness_blocks"] == eager["witness_blocks"]
+    assert "array(" in lazy["witness_blocks"]

@@ -24,7 +24,8 @@ from ckshift import (
     witness_dimension,
     word_count,
 )
-from ckshift.matrix import MatrixError, _power_loop, _word_counts, parse_matrix
+from ckshift._perron import _power_loop
+from ckshift.matrix import MatrixError, _word_counts, parse_matrix
 
 from conftest import (
     FULL3_ROWS,
@@ -301,6 +302,11 @@ class TestDual:
         dual = dual_matrix(validate_int([[0, 2], [1, 0]]))
         assert len(dual.edge_labels) == 3
         assert abs(spectral_radius(dual.a_prime).radius - math.sqrt(2)) <= 1e-10
+
+    def test_edge_count_past_the_cap_is_refused(self):
+        # 3164 edges in all: 3164^2 cells is just past the cap of 10^7
+        with pytest.raises(MatrixError, match="3164 edges give an edge matrix of 10010896"):
+            dual_matrix(validate_int([[3000, 163], [1, 0]]))
 
     def test_random_factorizations_exact(self):
         rng = seeded(105)
