@@ -4,6 +4,11 @@ A transition matrix is a square 0/1 matrix with no zero row and no zero
 column.  Symbols are numbered 1..n in every public interface; the entry
 grid itself is stored 0-indexed.  Everything combinatorial (matrix powers,
 word counts) is computed in exact arbitrary-precision integer arithmetic.
+A word count w(k) = 1^T A^(k-1) 1 takes one of two exact routes, chosen by
+the cost model in ``_recurrence_pays``: the walk v <- A v over the
+successor lists, or the minimal recurrence of the counts themselves
+(Berlekamp-Massey, checked exactly) with x^(k-1) taken modulo its
+polynomial by binary powering.
 The Perron vectors are found in floating point (power iteration, with
 Noda's inverse iteration where the spectral gap is small), and the spectral
 radius is then certified by exact integer Collatz-Wielandt bounds on those
@@ -18,6 +23,7 @@ numpy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -271,11 +277,6 @@ def matrix_power(mat: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in result)
 
 
-def _matvec(a, v):
-    """Exact integer product of a list-of-list matrix and a vector."""
-    return [sum(map(operator.mul, row, v)) for row in a]
-
-
 def _adjacency_matvec(adjacency, v: list[int]) -> list[int]:
     """A v, exactly, for the 0/1 matrix A whose row i lists its nonzero
     columns (1-based) in adjacency[i - 1]: ``mat.successors`` gives A and
@@ -284,55 +285,182 @@ def _adjacency_matvec(adjacency, v: list[int]) -> list[int]:
     return [sum(map(get, row)) for row in adjacency]
 
 
-def _power_vector(mat: IntMatrix, e: int) -> list[int]:
-    """A^e 1, exactly, by binary powering that never forms A^e.
+def _walk_counts(successors, n: int):
+    """Yield w(1), w(2), ... for ever: v <- A v from v = 1, where v[i]
+    counts the words of the current length that start at symbol i + 1."""
+    v = [1] * n
+    while True:
+        yield sum(v)
+        v = _adjacency_matvec(successors, v)
 
-    The squares A^(2^b) are formed as in ``matrix_power``, but each set bit
-    of e applies its square to the n-vector, n^2 products where a matrix
-    product costs n^3.  The top bit applies the square below it twice, so
-    the largest square, whose entries are the longest, is never formed.
+
+# Moduli for Berlekamp-Massey, tried in turn: the Mersenne primes 2^e - 1.
+# 2^61 - 1 holds every coefficient for the chord cycles and the small
+# matrices of the tests and the benchmark; a random 120-state matrix of
+# density 1/2 needs 2^521 - 1, and one of 300 states 2^1279 - 1.  Past the
+# last, the counts take the walk.
+_MERSENNE_EXPONENTS = (61, 127, 521, 1279, 2203, 4423, 9689, 19937)
+
+
+def _berlekamp_massey(s: list[int], prime: int) -> list[int]:
+    """Low coefficients q of the shortest recurrence of s modulo ``prime``:
+    p = x^d + q[d-1] x^(d-1) + ... + q[0] annihilates s mod ``prime``.
+    Each q[j] is lifted to its residue of least absolute value (Massey,
+    IEEE Trans. Inf. Theory 15, 1969)."""
+    s = [x % prime for x in s]
+    conn, prev = [1], [1]  # connection polynomials, constant term first
+    length, gap, prev_disc = 0, 1, 1
+    for i in range(len(s)):
+        disc = sum(map(operator.mul, conn, s[i::-1])) % prime
+        if not disc:
+            gap += 1
+            continue
+        coef = disc * pow(prev_disc, -1, prime) % prime
+        old = conn
+        top = gap + len(prev)
+        conn = conn + [0] * (top - len(conn))
+        conn[gap:top] = [(a - coef * b) % prime for a, b in zip(conn[gap:top], prev)]
+        if 2 * length <= i:
+            length, prev, prev_disc, gap = i + 1 - length, old, disc, 1
+        else:
+            gap += 1
+    conn += [0] * (length + 1 - len(conn))
+    half = prime >> 1
+    return [c - prime if c > half else c for c in conn[length:0:-1]]
+
+
+def _annihilates(q: list[int], s: list[int]) -> bool:
+    """True iff s[i] + sum_j q[j] s[i - d + j] = 0 for d <= i < len(s)."""
+    d = len(q)
+    taps = [(j, c) for j, c in enumerate(q) if c]
+    return all(
+        s[i] + sum(c * s[i - d + j] for j, c in taps) == 0 for i in range(d, len(s))
+    )
+
+
+def _minimal_recurrence(s: list[int]) -> list[int] | None:
+    """Low coefficients of the minimal polynomial of s = (1^T A^j 1), j < 2n,
+    checked exactly; None when no modulus in the list recovers it.
+
+    The minimal polynomial of A annihilates s and has degree at most n, so
+    that of s does too, and it is monic with integer coefficients (Gauss's
+    lemma).  A candidate of degree d <= n found modulo a prime is accepted
+    only if it annihilates s over the integers.  Then it annihilates the
+    whole sequence: a recurrence of order at most n that holds on the first
+    2n terms of a sequence with one of order at most n holds for ever
+    (Massey's length bound).
     """
-    v = [1] * mat.n
-    if e == 0:
-        return v
-    base = [list(r) for r in mat.entries]
-    top = e.bit_length() - 1
-    for b in range(top):
-        if b:
-            base = _matmul(base, base)
-        if e >> b & 1:
-            v = _matvec(base, v)
-    for _ in range(2 if top else 1):
-        v = _matvec(base, v)
-    return v
+    for e in _MERSENNE_EXPONENTS:
+        q = _berlekamp_massey(s, (1 << e) - 1)
+        if _annihilates(q, s):
+            return q
+    return None
+
+
+def _times_x(r: list[int], taps) -> list[int]:
+    """x r mod p, for r of degree < d = len(r) and p = x^d + sum of the
+    (j, q_j) in ``taps``."""
+    top = r[-1]
+    r = [0, *r[:-1]]
+    if top:
+        for j, c in taps:
+            r[j] -= top * c
+    return r
+
+
+def _x_power(e: int, taps, d: int) -> list[int]:
+    """x^e mod p by binary powering (Fiduccia, SIAM J. Comput. 14, 1985):
+    each bit squares the remainder, d(d+1)/2 products, and reduces the
+    square by the recurrence, one product per tap for each of its d - 1
+    high coefficients."""
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            if a:
+                sq[2 * i] += a * a
+                lo, hi = 2 * i + 1, i + d
+                twice = map((a + a).__mul__, r[i + 1 :])
+                sq[lo:hi] = map(operator.add, sq[lo:hi], twice)
+        for i in range(2 * d - 2, d - 1, -1):
+            c = sq[i]
+            if c:
+                for j, t in taps:
+                    sq[i - d + j] -= c * t
+        r = sq[:d]
+        if bit == "1":
+            r = _times_x(r, taps)
+    return r
+
+
+def _recurrence_pays(n: int, edges: int, k_min: int, k_max: int) -> bool:
+    """The cost model that picks the route to w(k_min), ..., w(k_max).
+
+    Costs are counted in Python-level integer operations (one addition or
+    product of short operands, about 0.07 us on a 2-core Xeon VM):
+    - the walk takes k_max - 1 steps of v <- A v, each n + |E| operations;
+    - the recurrence walks 2n steps for s_0, ..., s_(2n-1); runs
+      Berlekamp-Massey modulo 2^61 - 1, 2n rounds of about 2n products and
+      50 operations of overhead; takes x^(k_min - 1) mod p by binary
+      powering, at most n^2 operations per bit, but x^e is a bare monomial
+      for e < d, so only the bits of (k_min - 1) // n count; and spends 2n
+      per further count (a shift by x and a dot product).
+    The order d <= n of the recurrence is not known before its set-up, so n
+    stands in for it.  The model leaves out the growth of the operands:
+    the walk's additions grow as its counts do and the powering's products
+    grow faster, but the walk takes k steps where the powering takes
+    log2 k, so the routes come close only at short k, where the operands
+    are short too.
+    """
+    walk = (k_max - 1) * (n + edges)
+    recurrence = (
+        2 * n * (n + edges)
+        + 4 * n * (n + 25)
+        + n * n * ((k_min - 1) // n).bit_length()
+        + 2 * n * (k_max - k_min)
+    )
+    return recurrence < walk
+
+
+def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]:
+    """[w(k_min), ..., w(k_max)], exactly, where w(k) = 1^T A^(k-1) 1
+    counts the admissible words of length k.
+
+    Two exact routes; ``_recurrence_pays`` picks the cheaper.  The walk
+    steps v <- A v over the successor lists, |E| bigint additions per
+    length.  The recurrence walks only to s_j = w(j + 1) for j < 2n, finds
+    their minimal polynomial p of degree d <= n (``_minimal_recurrence``),
+    and gives w(k) = sum_j r_j s_j with r = x^(k-1) mod p, so a deep k_min
+    costs d^2 products per bit of k_min.  Each later count shifts r by x.
+    p annihilates the counts but not always the vectors A^j 1, so this
+    route yields counts only, never the vector A^(k-1) 1.
+    """
+    if k_min < 1:
+        raise ValueError("word length must be >= 1")
+    n = mat.n
+    walk = _walk_counts(mat.successors, n)
+    if _recurrence_pays(n, sum(map(len, mat.successors)), k_min, k_max):
+        s = list(itertools.islice(walk, 2 * n))
+        q = _minimal_recurrence(s)
+        if q is not None:
+            taps = [(j, c) for j, c in enumerate(q) if c]
+            r = _x_power(k_min - 1, taps, len(q))
+            counts = []
+            for _ in range(k_min, k_max + 1):
+                counts.append(sum(map(operator.mul, r, s)))
+                r = _times_x(r, taps)
+            return counts
+        walk = itertools.chain(s, walk)
+    return list(itertools.islice(walk, k_min - 1, k_max))
 
 
 def word_count(mat: TransitionMatrix, k: int) -> int:
     """Number of admissible words of length k, exactly: the entry sum
-    1^T A^(k-1) 1, with A^(k-1) 1 by binary powering on the vector."""
+    1^T A^(k-1) 1, by the walk or the minimal recurrence of the counts,
+    whichever the cost model in ``_recurrence_pays`` finds cheaper."""
     if k < 1:
         raise ValueError("word length must be >= 1")
-    return sum(_power_vector(mat, k - 1))
-
-
-def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]:
-    """[w(k_min), ..., w(k_max)], exactly, by the recurrence w(k) = 1^T A^(k-1) 1.
-
-    v[i] counts the words of the current length that start at symbol i + 1;
-    prepending a symbol gives v'[i] = the sum of v over the successors of
-    i + 1.  The vector starts at A^(k_min-1) 1 by binary powering, so a deep
-    k_min costs O(n^3 log k_min) rather than a walk through every shorter
-    length; each further length costs O(|E|) bigint additions.
-    """
-    if k_min < 1:
-        raise ValueError("word length must be >= 1")
-    v = _power_vector(mat, k_min - 1)
-    counts = []
-    for k in range(k_min, k_max + 1):
-        counts.append(sum(v))
-        if k < k_max:
-            v = _adjacency_matvec(mat.successors, v)
-    return counts
+    return _word_counts(mat, k, k)[0]
 
 
 def _scaled(vec) -> list[int]:

@@ -77,7 +77,7 @@ def enumerate_words(mat: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list[
     """All admissible words of length k, lexicographically sorted.
 
     Raises TooManyWordsError when the count (known exactly in advance from
-    the matrix power) would exceed ``cap``.
+    ``word_count``) would exceed ``cap``.
     """
     if k < 1:
         raise ValueError("word length must be >= 1")

@@ -24,6 +24,7 @@ from conftest import (
     seeded,
     sparse_irreducible,
 )
+from word_count_oracle import oracle_count
 
 
 DATA = Path(__file__).parent / "data"
@@ -336,6 +337,20 @@ class TestConvergence:
         assert [r["k"] for r in rows] == list(range(1, 13))
         for r in rows:
             assert r["witness"] == _fmt(math.log(word_count(mat, r["k"] + n0)) / r["k"])
+
+    def test_deep_n0_witness_matches_oracle(self, capsys):
+        golden = str(DATA / "golden.txt")
+        n0 = 100_000
+        code, out, err = run(
+            capsys,
+            ["convergence", "--matrix", golden, "--k-max", "5", "--n0", str(n0), "--format", "json"],
+        )
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert [r["k"] for r in rows] == [1, 2, 3, 4, 5]
+        mat = load_matrix(golden)
+        for r in rows:
+            assert r["witness"] == _fmt(math.log(oracle_count(mat, r["k"] + n0)) / r["k"])
 
     @pytest.mark.parametrize("n0", [-1, -5])
     def test_negative_n0_exits_2(self, capsys, golden_file, n0):

@@ -1,0 +1,150 @@
+"""Both exact count routes, and the cost model's choice between them,
+against the matrix-squaring oracle."""
+
+import itertools
+
+import pytest
+
+from ckshift import matrix, validate, word_count
+from ckshift.matrix import _minimal_recurrence, _recurrence_pays, _word_counts
+
+from conftest import (
+    FULL3_ROWS,
+    GOLDEN_ROWS,
+    PERM2_ROWS,
+    RANDOM3_ROWS,
+    cyclic_permutation,
+    periodic_irreducible,
+    random_irreducible,
+    random_transition_rows,
+    seeded,
+    sparse_irreducible,
+)
+from word_count_oracle import matvec, oracle_count, power_vector
+
+# "walk" and "recurrence" force one route, "model" lets the cost model pick
+ROUTES = ("walk", "recurrence", "model")
+
+# the counts 1^T A^j 1 satisfy a recurrence of order 1 (x - 2) and 2
+# ((x - 1)^2), but the vectors A^j 1 span all of Q^3: a remainder mod p
+# applied to the vectors A^j 1 gives a wrong start vector
+TRAP_ROWS = [
+    [[0, 0, 1], [1, 1, 1], [1, 1, 0]],
+    [[0, 0, 1], [0, 1, 0], [1, 1, 0]],
+]
+
+
+def route(monkeypatch, name):
+    if name != "model":
+        monkeypatch.setattr(matrix, "_recurrence_pays", lambda *_: name == "recurrence")
+
+
+def oracle_counts(mat, k_max, k_min=1):
+    """[w(k_min), ..., w(k_max)]: the oracle's A^(k_min - 1) 1, then its own
+    dense matrix-vector steps."""
+    v = power_vector(mat, k_min - 1)
+    a = [list(r) for r in mat.entries]
+    out = []
+    for _ in range(k_min, k_max + 1):
+        out.append(sum(v))
+        v = matvec(a, v)
+    return out
+
+
+def seeded_matrices():
+    rng = seeded(1101)
+    mats = [validate(r) for r in (GOLDEN_ROWS, FULL3_ROWS, PERM2_ROWS, RANDOM3_ROWS)]
+    mats += [validate([[1, 1, 0], [0, 1, 1], [0, 0, 1]])]  # reducible, polynomial growth
+    mats += [random_irreducible(rng, n) for n in (4, 6, 8)]
+    mats += [random_irreducible(rng, 7, density=0.3, force_loop=True)]
+    mats += [periodic_irreducible(rng, n, p) for n, p in ((6, 2), (9, 3))]
+    mats += [cyclic_permutation(rng, n) for n in (1, 5)]
+    mats += [validate(random_transition_rows(rng, n, density=0.3)) for n in (4, 7)]
+    mats += [sparse_irreducible(rng, 9), sparse_irreducible(rng, 15, extra_edges=4)]
+    return mats
+
+
+SEEDED = seeded_matrices()
+
+
+@pytest.mark.parametrize("index", range(len(SEEDED)))
+def test_seeded_matrices_against_oracle(monkeypatch, index):
+    mat = SEEDED[index]
+    short = oracle_counts(mat, 3 * mat.n)
+    deep = {k: oracle_counts(mat, k + 9, k) for k in (1000, 5000)}
+    for name in ROUTES:
+        with monkeypatch.context() as mp:
+            route(mp, name)
+            assert _word_counts(mat, 3 * mat.n) == short, (name, mat)
+            assert [word_count(mat, k) for k in range(1, 3 * mat.n + 1)] == short, (name, mat)
+            for k, want in deep.items():
+                assert word_count(mat, k) == want[0], (name, mat, k)
+                assert _word_counts(mat, k + 9, k) == want, (name, mat, k)
+
+
+def all_valid_3x3():
+    for bits in itertools.product((0, 1), repeat=9):
+        rows = [list(bits[3 * i : 3 * i + 3]) for i in range(3)]
+        if all(any(r) for r in rows) and all(any(r[j] for r in rows) for j in range(3)):
+            yield validate(rows)
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_every_3x3_matrix_against_oracle(monkeypatch, name):
+    route(monkeypatch, name)
+    mats = list(all_valid_3x3())
+    assert len(mats) == 265
+    for mat in mats:
+        assert _word_counts(mat, 12) == oracle_counts(mat, 12), mat
+        assert word_count(mat, 500) == oracle_count(mat, 500), mat
+
+
+@pytest.mark.parametrize("name", ROUTES)
+@pytest.mark.parametrize("k_min", [50, 1000])
+@pytest.mark.parametrize("rows", TRAP_ROWS)
+def test_deep_start_when_counts_have_a_shorter_recurrence(monkeypatch, name, k_min, rows):
+    mat = validate(rows)
+    route(monkeypatch, name)
+    assert _word_counts(mat, k_min + 29, k_min) == oracle_counts(mat, k_min + 29, k_min)
+
+
+def test_minimal_recurrence_is_the_counts_own():
+    def recurrence(rows):
+        mat = validate(rows)
+        return _minimal_recurrence(oracle_counts(mat, 2 * mat.n))
+
+    assert recurrence(GOLDEN_ROWS) == [-1, -1]  # x^2 - x - 1
+    assert recurrence(FULL3_ROWS) == [-3]
+    assert recurrence(PERM2_ROWS) == [-1]
+    assert [recurrence(rows) for rows in TRAP_ROWS] == [[-2], [1, -2]]
+
+
+def test_larger_modulus_when_coefficients_pass_the_first(monkeypatch):
+    # a dense 60-state matrix: its polynomial has coefficients past 2^61 - 1
+    mat = validate(random_transition_rows(seeded(1103), 60))
+    q = _minimal_recurrence(_word_counts(mat, 120))
+    assert max(abs(c) for c in q).bit_length() > 61
+    route(monkeypatch, "recurrence")
+    deep = _word_counts(mat, 1009, 1000)
+    route(monkeypatch, "walk")
+    assert deep == _word_counts(mat, 1009, 1000)
+
+
+def test_walk_when_no_modulus_recovers_the_recurrence(monkeypatch):
+    # modulo 3, full3's x - 3 reads as x, which does not annihilate 3, 9, 27
+    mat = validate(FULL3_ROWS)
+    monkeypatch.setattr(matrix, "_MERSENNE_EXPONENTS", (2,))
+    assert _minimal_recurrence(oracle_counts(mat, 6)) is None
+    route(monkeypatch, "recurrence")
+    assert _word_counts(mat, 40, 30) == [3**k for k in range(30, 41)]
+
+
+def test_cost_model_routes():
+    # (n, |E|, k_min, k_max) of the benchmark's count jobs
+    assert not _recurrence_pays(120, 124, 1, 81)  # entropy_estimates, 120-state chord cycle
+    assert _recurrence_pays(120, 124, 20_000, 20_000)
+    assert _recurrence_pays(3, 9, 200_000, 200_000)
+    assert _recurrence_pays(12, 72, 10_000, 10_000)
+    # no count inside the set-up walk is worth a recurrence
+    for n, edges in ((2, 3), (3, 9), (12, 72), (120, 124), (120, 7_000)):
+        assert not any(_recurrence_pays(n, edges, k, k) for k in range(1, 2 * n + 1))
