@@ -50,8 +50,6 @@ from typing import Iterator, NamedTuple
 
 from .matrix import TransitionMatrix, _matmul
 from .sft import (
-    WORD_CAP,
-    TooManyWordsError,
     Word,
     _check_word,
     _words_from,
@@ -238,14 +236,11 @@ class CuntzKriegerAlgebra:
 
     # -- words ------------------------------------------------------------
 
-    def words(self, k: int, cap: int = WORD_CAP) -> tuple[Word, ...]:
+    def words(self, k: int) -> tuple[Word, ...]:
         """Admissible words of length k (k = 0 gives the empty word)."""
         if k not in self._word_cache:
-            self._word_cache[k] = tuple(enumerate_words(self.matrix, k, cap=cap))
-        found = self._word_cache[k]
-        if len(found) > cap:
-            raise TooManyWordsError(len(found), cap)
-        return found
+            self._word_cache[k] = tuple(enumerate_words(self.matrix, k))
+        return self._word_cache[k]
 
     def _check_word(self, word) -> Word:
         return _check_word(word, self.n)
@@ -462,7 +457,7 @@ class CuntzKriegerAlgebra:
                         acc[mono] = c
         return CKElement(self, acc)
 
-    def block_embedding(self, m: int, x: CKElement, cap: int = WORD_CAP) -> "BlockMatrix":
+    def block_embedding(self, m: int, x: CKElement) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
         to S_mu* x S_nu; a *-homomorphism into the block algebra.
 
@@ -474,7 +469,7 @@ class CuntzKriegerAlgebra:
         """
         if m < 1:
             raise ValueError("block depth must be >= 1")
-        index = self.words(m, cap=cap)
+        index = self.words(m)
         span, pair = self._span, self._pair_products
         acc: dict[tuple[int, int], dict] = {}
         for term, c in x.terms.items():
@@ -489,7 +484,7 @@ class CuntzKriegerAlgebra:
 
     # -- witness blocks for the embedding identities -------------------------
 
-    def witness_blocks(self, alpha, beta, i: int, l: int, m: int, cap: int = WORD_CAP):
+    def witness_blocks(self, alpha, beta, i: int, l: int, m: int):
         """Explicit 0/1 witness blocks for the shifted-generator image under
         the block embedding.
 
@@ -518,8 +513,8 @@ class CuntzKriegerAlgebra:
             )
         import numpy as np
 
-        units = self._witness_units(a, b, i, l, m, cap=cap)
-        w = len(self.words(m, cap=cap))
+        units = self._witness_units(a, b, i, l, m)
+        w = len(self.words(m))
         out = {}
         for key, cells in units.items():
             block = np.zeros((w, w), dtype=np.int64)
@@ -528,14 +523,12 @@ class CuntzKriegerAlgebra:
             out[key] = block
         return out
 
-    def _witness_units(
-        self, a: Word, b: Word, i: int, l: int, m: int, cap: int = WORD_CAP
-    ) -> dict:
+    def _witness_units(self, a: Word, b: Word, i: int, l: int, m: int) -> dict:
         """The witness blocks of ``witness_blocks``, each as the set of its
         (row, col) matrix units, keyed (and ordered) the same way.  The
         arguments are trusted: a and b are admissible word tuples with
         |b| <= |a|, and 0 <= l <= m - 1 - |a|."""
-        index = self.words(m, cap=cap)
+        index = self.words(m)
         span = self._span
         mid_len = m - l - len(a)
         etas = self.words(l)
@@ -562,7 +555,7 @@ class CuntzKriegerAlgebra:
 
     # -- finite-dimensional picture of the degree-zero part ------------------
 
-    def af_blocks(self, x: CKElement, depth: int, cap: int = WORD_CAP) -> "BlockDiagonal":
+    def af_blocks(self, x: CKElement, depth: int) -> "BlockDiagonal":
         """Map a degree-zero element of right depth <= depth to the
         block-diagonal matrix algebra indexed by word terminus.
 
@@ -582,7 +575,7 @@ class CuntzKriegerAlgebra:
                     f"term {m} has right depth {len(m.right)} > {depth}"
                 )
         refined = self._refine_terms(x.terms, depth)
-        index = self.words(depth, cap=cap)
+        index = self.words(depth)
         by_terminus: dict[int, list[Word]] = {t: [] for t in range(1, self.n + 1)}
         pos: dict[Word, tuple[int, int]] = {}
         for wd in index:
@@ -827,7 +820,7 @@ def verify_witness_decomposition(
     alg: CuntzKriegerAlgebra,
     n0: int,
     n: int,
-    cap: int = WORD_CAP,
+    *,
     inject_fault: bool = False,
 ) -> VerificationReport:
     """Verify, generator by generator, that the block embedding of every
@@ -849,7 +842,7 @@ def verify_witness_decomposition(
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be >= 1")
     m = n0 + n
-    index = alg.words(m, cap=cap)
+    index = alg.words(m)
     failures: list[dict] = []
     cases = 0
     failed_cases = 0
@@ -872,14 +865,14 @@ def verify_witness_decomposition(
                     case_failures = len(failures)
                     # alpha and beta are admissible, |beta| <= |alpha| <= n0
                     # and l < n, so the case meets witness_blocks' checks
-                    blocks = alg._witness_units(alpha, beta, i, l, m, cap=cap)
+                    blocks = alg._witness_units(alpha, beta, i, l, m)
                     if inject_fault and not injected:
                         for units in blocks.values():
                             if units:
                                 units.remove(min(units))
                                 injected = True
                                 break
-                    lhs = alg.block_embedding(m, alg.shift(gen, l), cap=cap)
+                    lhs = alg.block_embedding(m, alg.shift(gen, l))
                     rhs_cells: dict[tuple[int, int], CKElement] = {}
                     for key, units in blocks.items():
                         piece = pieces.get(key)

@@ -13,6 +13,7 @@ as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -33,6 +34,7 @@ from .matrix import (
 from .sft import (
     _estimate_rows,
     _fmt,
+    _fmt_count,
     entropy_estimates,
     enumerate_words,
     markov_entropy,
@@ -43,7 +45,10 @@ LOG2 = math.log(2.0)
 
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # streamed, but in batches of chunks: stdout may be unbuffered
+    chunks = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj), "\n")
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+        sys.stdout.write(batch)
 
 
 def _warn(message: str) -> None:
@@ -87,7 +92,7 @@ def _cmd_entropy(args) -> int:
         _warn(w)
     scale = _scale(args.base)
     k = args.k_max
-    last = _estimate_rows(mat, k)[-1]
+    (last,) = _estimate_rows(mat, k, k_min=k)
     log_radius = markov = None
     if irreducible:
         pd = parry_measure(mat, args.tol)
@@ -158,29 +163,18 @@ def _cmd_parry(args) -> int:
 
 def _cmd_dual(args) -> int:
     _reject_csv(args)
-    mat = load_int_matrix(args.matrix)
-    dual = dual_matrix(mat)
-    payload = {
-        "edge_count": len(dual.edge_labels),
-        "edges": [list(e) for e in dual.edge_labels],
-        "a_prime": [list(r) for r in dual.a_prime.entries],
-        "s": [list(r) for r in dual.s_factor],
-        "t": [list(r) for r in dual.t_factor],
-    }
+    dual = dual_matrix(load_int_matrix(args.matrix))
+    edges, a_prime, s, t = dual.edge_labels, dual.a_prime.entries, dual.s_factor, dual.t_factor
     if args.format == "json":
-        _emit_json(payload)
+        _emit_json({"edge_count": len(edges), "edges": edges, "a_prime": a_prime, "s": s, "t": t})
     else:
-        print(f"edge alphabet size {payload['edge_count']}")
-        print("edges (source, target, copy): " + " ".join(str(tuple(e)) for e in dual.edge_labels))
-        print("edge matrix:")
-        for row in dual.a_prime.entries:
-            print("  " + " ".join(map(str, row)))
-        print("left factor S:")
-        for row in dual.s_factor:
-            print("  " + " ".join(map(str, row)))
-        print("right factor T:")
-        for row in dual.t_factor:
-            print("  " + " ".join(map(str, row)))
+        print(f"edge alphabet size {len(edges)}")
+        print("edges (source, target, copy): " + " ".join(map(str, edges)))
+        titles = ("edge matrix:", "left factor S:", "right factor T:")
+        for title, rows in zip(titles, (a_prime, s, t)):
+            print(title)
+            for row in rows:
+                print("  " + " ".join(map(str, row)))
     return 0
 
 
@@ -195,7 +189,7 @@ def _cmd_convergence(args) -> int:
     rows = [
         {
             "k": row.k,
-            "w_k": str(row.count),
+            "w_k": _fmt_count(row.count),
             "eq3": _fmt(row.growth / scale),
             "ratio": _fmt(row.ratio / scale),
             "witness": _fmt(wit),

@@ -569,8 +569,8 @@ def spectral_radius(
     )
 
 
-# the most cells dual_matrix builds its edge matrix with, sized like
-# sft.WORD_CAP: near the cap, ``ckshift dual`` needs about a gigabyte
+# the most cells the edge matrix of dual_matrix may have, sized like
+# sft.WORD_CAP: its rows are shared, but ``ckshift dual`` prints every cell
 _EDGE_CELL_CAP = 10_000_000
 
 
@@ -579,7 +579,11 @@ def dual_matrix(mat: IntMatrix) -> DualDecomposition:
 
     The edge alphabet has one symbol (i, j, t) per unit of M(i, j); two
     edges are composable exactly when the first ends where the second
-    starts.  The returned factors satisfy S T = M and T S = A' exactly.
+    starts.  Row i of S marks the edges leaving i; an edge into j has the
+    unit vector of j as its row of T and row j of S as its row of A', one
+    tuple shared by every edge into j, so O(n E) cells are held, not E^2.
+    M has no zero row or column, so neither has A', which needs no rescan.
+    S T = M and T S = A' hold exactly, checked in O(n E + n^2) steps.
 
     Raises MatrixError, before allocating anything, when the edge matrix
     would have more than ``_EDGE_CELL_CAP`` cells.
@@ -591,32 +595,35 @@ def dual_matrix(mat: IntMatrix) -> DualDecomposition:
             f"more than the cap of {_EDGE_CELL_CAP}"
         )
     n = mat.n
-    labels = [
+    labels = tuple(
         (i, j, t)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
         for t in range(1, mat.entry(i, j) + 1)
-    ]
-    a_prime_rows = [
-        [1 if labels[r][1] == labels[c][0] else 0 for c in range(ecount)]
-        for r in range(ecount)
-    ]
-    s_rows = [
-        [1 if i == labels[c][0] else 0 for c in range(ecount)] for i in range(1, n + 1)
-    ]
-    t_rows = [
-        [1 if labels[r][1] == k else 0 for k in range(1, n + 1)] for r in range(ecount)
-    ]
-    a_prime = validate(a_prime_rows)
-    if _matmul(s_rows, t_rows) != [list(r) for r in mat.entries]:
+    )
+    # the labels run by source, so the edges leaving state i are a block
+    outs = [sum(row) for row in mat.entries]
+    s_rows = tuple(
+        (0,) * before + (1,) * out + (0,) * (ecount - before - out)
+        for before, out in zip(itertools.accumulate(outs, initial=0), outs)
+    )
+    units = tuple(tuple(int(j == k) for k in range(n)) for j in range(n))
+    t_rows = tuple(units[j - 1] for _, j, _ in labels)
+    a_prime_rows = tuple(s_rows[j - 1] for _, j, _ in labels)
+    # for 0/1 factors: row i of S T sums the rows of T at the 1s of row i of
+    # S, and row r of T S is the row of S at the one 1 of row r of T (a row
+    # of T without exactly one 1 fails); shared rows compare by identity
+    st = [list(map(sum, zip(*itertools.compress(t_rows, row)))) for row in s_rows]
+    if st != [list(r) for r in mat.entries]:
         raise MatrixError("internal error: S T does not reproduce the input matrix")
-    if _matmul(t_rows, s_rows) != a_prime_rows:
+    ts = tuple(s_rows[row.index(1)] if sum(row) == 1 else None for row in t_rows)
+    if ts != a_prime_rows:
         raise MatrixError("internal error: T S does not reproduce the edge matrix")
     return DualDecomposition(
-        a_prime=a_prime,
-        s_factor=tuple(tuple(r) for r in s_rows),
-        t_factor=tuple(tuple(r) for r in t_rows),
-        edge_labels=tuple(labels),
+        a_prime=TransitionMatrix(a_prime_rows),
+        s_factor=s_rows,
+        t_factor=t_rows,
+        edge_labels=labels,
     )
 
 

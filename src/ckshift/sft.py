@@ -51,7 +51,7 @@ class SymbolOutOfRangeError(ValueError):
 
 class TooManyWordsError(ValueError):
     def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} words exceed the enumeration cap of {cap}")
+        super().__init__(f"{_fmt_count(count)} words exceed the enumeration cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -214,6 +214,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".15g")
 
 
+def _fmt_count(count: int) -> str:
+    """Every digit of an exact count.  Past the int-to-str digit limit of
+    Python >= 3.10.7, meant for parsing, ``decimal`` converts it."""
+    try:
+        return str(count)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(count))
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     k: int
@@ -237,7 +248,7 @@ class ConvergenceReport:
     def to_csv(self) -> str:
         lines = ["k,w_k,eq3,ratio"]
         for r in self.rows:
-            lines.append(f"{r.k},{r.count},{_fmt(r.growth)},{_fmt(r.ratio)}")
+            lines.append(f"{r.k},{_fmt_count(r.count)},{_fmt(r.growth)},{_fmt(r.ratio)}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -246,7 +257,7 @@ class ConvergenceReport:
             "rows": [
                 {
                     "k": r.k,
-                    "w_k": str(r.count),
+                    "w_k": _fmt_count(r.count),
                     "eq3": _fmt(r.growth),
                     "ratio": _fmt(r.ratio),
                 }
@@ -260,7 +271,8 @@ def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:
 
     Both estimators converge to log of the spectral radius; the growth form
     only at rate O(log k / k), the ratio form geometrically for primitive
-    matrices.  Counts are exact integers, so arbitrarily large k is safe.
+    matrices.  Counts are exact integers, printed in full by ``to_csv`` and
+    ``to_json_dict``, so arbitrarily large k is safe.
     """
     rows = _estimate_rows(mat, k_max)
     try:
@@ -270,21 +282,13 @@ def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:
     return ConvergenceReport(rows=rows, target=target)
 
 
-def _estimate_rows(mat: TransitionMatrix, k_max: int) -> tuple[ConvergenceRow, ...]:
-    """The rows of ``entropy_estimates``, without its target."""
+def _estimate_rows(mat: TransitionMatrix, k_max: int, k_min=1) -> tuple[ConvergenceRow, ...]:
+    """The rows k_min..k_max of ``entropy_estimates``, without its target,
+    from the counts w(k_min), ..., w(k_max + 1) alone."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    counts = _word_counts(mat, k_max + 1)
-    rows = []
-    for k in range(1, k_max + 1):
-        wk = counts[k - 1]
-        wk1 = counts[k]
-        rows.append(
-            ConvergenceRow(
-                k=k,
-                count=wk,
-                growth=math.log(wk) / k,
-                ratio=math.log(wk1) - math.log(wk),
-            )
-        )
-    return tuple(rows)
+    counts = _word_counts(mat, k_max + 1, k_min)
+    return tuple(
+        ConvergenceRow(k, wk, math.log(wk) / k, math.log(wk1) - math.log(wk))
+        for k, wk, wk1 in zip(range(k_min, k_max + 1), counts, counts[1:])
+    )

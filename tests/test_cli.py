@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import itertools
 import subprocess
 import sys
 import time
@@ -70,6 +72,14 @@ def int_file(tmp_path):
     path = tmp_path / "int.txt"
     path.write_text("0 2\n1 0\n")
     return str(path)
+
+
+def is_power_of_two(digits: str, k: int) -> bool:
+    """True iff the decimal string is 2^k, compared without int(), whose
+    default digit limit a count of 2^k may pass."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = k
+        return digits.isdigit() and decimal.Decimal(digits) == decimal.Decimal(2) ** k
 
 
 def run(capsys, argv):
@@ -179,6 +189,21 @@ class TestEntropy:
         # once inside that computation
         assert sorted(calls) == ["is_irreducible", "is_irreducible", "spectral_radius"]
 
+    def test_deep_k_counts_only_its_two_words(self, capsys, monkeypatch, perm_file):
+        # the walk stops after 10^4 lengths; a command that built the whole
+        # k-row table would take it to k = 10^6 + 1 on a permutation matrix
+        walk = matrix._walk_counts
+
+        def short_walk(successors, n):
+            yield from itertools.islice(walk(successors, n), 10_000)
+            raise AssertionError("walked past 10^4 lengths")
+
+        monkeypatch.setattr(matrix, "_walk_counts", short_walk)
+        code, out, _ = run(capsys, ["entropy", "--matrix", perm_file, "--k-max", "1000000"])
+        assert code == 0
+        assert "ratio estimate (k=1000000)   0\n" in out
+        assert "growth estimate (k=1000000)  6.93147180559945e-07\n" in out
+
     def test_nan_tolerance_exits_2_at_once(self, capsys, golden_file):
         code, out, err = run(capsys, ["entropy", "--matrix", golden_file, "--tol", "nan"])
         assert (code, out) == (2, "")
@@ -237,6 +262,16 @@ class TestWords:
             main(["words", "--matrix", golden_file])
         assert exc.value.code == 2
 
+    def test_count_past_the_int_str_limit_in_cap_error(self, capsys):
+        # 2^15000 has 4516 digits, past the default int-to-str limit of 4300
+        code, out, err = run(capsys, [
+            "words", "--matrix", str(DATA / "full2.txt"), "--k-max", "15000",
+        ])
+        assert (code, out) == (2, "")
+        digits, rest = err.removeprefix("error: ").split(" ", 1)
+        assert rest == "words exceed the enumeration cap of 10000000\n"
+        assert is_power_of_two(digits, 15000)
+
     def test_deep_cycle_exits_0(self, capsys, perm_file):
         code, out, err = run(capsys, ["words", "--matrix", perm_file, "--k-max", "2000"])
         assert code == 0
@@ -287,7 +322,32 @@ class TestDual:
         )
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_is_pinned(self, capsys, fmt):
+        # byte for byte the stdout recorded in tests/data; parallel4 is a
+        # seeded 4x4 matrix with entries up to 3, 23 edges in all
+        code, out, err = run(capsys, [
+            "dual", "--matrix", str(DATA / "parallel4.txt"), "--format", fmt,
+        ])
+        assert (code, err) == (0, "")
+        assert out.encode() == (DATA / f"dual_parallel4.{fmt}.out").read_bytes()
+
+
 class TestConvergence:
+    def test_counts_past_the_int_str_limit(self, capsys):
+        # w(k) = 2^k on full2, so w(15000) has 4516 digits, past the default
+        # int-to-str limit of 4300, which still guards the matrix parser
+        code, out, err = run(capsys, [
+            "convergence", "--matrix", str(DATA / "full2.txt"),
+            "--k-max", "15000", "--format", "csv",
+        ])
+        assert (code, err) == (0, "")
+        k, w_k, *_ = out.splitlines()[-1].split(",")
+        assert k == "15000" and is_power_of_two(w_k, 15000)
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(matrix.MatrixError):
+                matrix.parse_matrix("1" * 5000)
+
     def test_csv_columns(self, capsys, golden_file):
         code, out, _ = run(
             capsys,

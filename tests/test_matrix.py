@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,7 +324,21 @@ class TestDual:
             t = np.array([list(r) for r in dual.t_factor], dtype=object)
             assert (s @ t).tolist() == [list(r) for r in mat.entries]
             assert (t @ s).tolist() == [list(r) for r in dual.a_prime.entries]
+            assert validate(dual.a_prime.entries) == dual.a_prime
             done += 1
+
+    def test_edge_matrix_near_the_cap_is_small(self):
+        # 3000 parallel edges, 9 * 10^6 cells: the rows of A' and T are
+        # shared between edges, so the decomposition holds O(n E) cells
+        tracemalloc.start()
+        try:
+            dual = dual_matrix(validate_int([[3000]]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert dual.a_prime.entries == ((1,) * 3000,) * 3000
+        assert dual.t_factor == ((1,),) * 3000
 
 
 class TestWitnessDimension:

@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import math
+import sys
 
 import pytest
 
@@ -255,6 +257,11 @@ class TestEntropyEstimates:
         with pytest.raises(ValueError):
             entropy_estimates(golden_mean, 1)
 
+    def test_rows_from_k_min(self, golden_mean, random3):
+        for mat in (golden_mean, random3):
+            assert sft._estimate_rows(mat, 40, 35) == sft._estimate_rows(mat, 40)[34:]
+            assert sft._estimate_rows(mat, 40, 40) == sft._estimate_rows(mat, 40)[-1:]
+
     def test_ratio_converges_for_primitive(self):
         rng = seeded(202)
         for _ in range(5):
@@ -284,3 +291,17 @@ class TestConvergenceReportSerialization:
         b = entropy_estimates(golden_mean, 6)
         assert a.to_csv() == b.to_csv()
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_counts_past_the_int_str_limit(self):
+        # 2^15000 has 4516 digits, past the default int-to-str limit of 4300
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        count = 2**15000
+        row = sft.ConvergenceRow(k=15000, count=count, growth=0.5, ratio=0.5)
+        report = sft.ConvergenceReport(rows=(row,), target=None)
+        digits = report.to_json_dict()["rows"][0]["w_k"]
+        assert report.to_csv() == f"k,w_k,eq3,ratio\n15000,{digits},0.5,0.5\n"
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5000
+            assert decimal.Decimal(digits) == decimal.Decimal(2) ** 15000
+        # the interpreter's own limit is left as it was
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
