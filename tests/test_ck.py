@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from ckshift import (
 )
 
 from conftest import random_degree_zero, random_monomial, seeded
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestConstruction:
@@ -339,3 +343,16 @@ class TestRelationSuite:
     def test_report_shape(self, golden_alg):
         payload = verify_relations(golden_alg).to_json_dict()
         assert set(payload) == {"cases", "passed", "failures", "params"}
+
+    def test_every_failure_record_is_pinned(self, golden_alg, monkeypatch):
+        # with every comparison failing, each case of all five relations
+        # leaves its record, in the order the suite checks them
+        monkeypatch.setattr(golden_alg, "equal", lambda x, y: False)
+        report = verify_relations(golden_alg, max_word_len=2, max_state_len=2)
+        assert (report.cases, report.passed, len(report.failures)) == (45, 0, 45)
+        assert {f["relation"] for f in report.failures} == {
+            "range_projection_orthogonality", "unit_decomposition", "word_collapse",
+            "support_absorption", "depth_resolution",
+        }
+        text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert text == (DATA / "verify_relations_golden_2_2_unequal.json").read_text()

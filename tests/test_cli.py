@@ -470,6 +470,23 @@ class TestVerifyCommands:
         assert (code, err) == (exit_code, "")
         assert out.encode() == pinned.read_bytes()
 
+    @pytest.mark.parametrize("name,fmt,fault,exit_code", [
+        ("golden", "text", False, 0),
+        ("golden", "json", False, 0),
+        ("full3", "text", False, 0),
+        ("full3", "json", False, 0),
+        ("golden", "json", True, 1),
+    ])
+    def test_verify_ck_output_is_pinned(self, capsys, name, fmt, fault, exit_code):
+        # byte for byte the stdout recorded in tests/data
+        argv = ["verify-ck", "--matrix", str(DATA / f"{name}.txt"), "--format", fmt]
+        if fault:
+            argv.append("--inject-fault")
+        code, out, err = run(capsys, argv)
+        pinned = DATA / f"verify_ck_{name}{'_fault' if fault else ''}.{fmt}.out"
+        assert (code, err) == (exit_code, "")
+        assert out.encode() == pinned.read_bytes()
+
     def test_verify_ck_fault_exits_1(self, capsys, golden_file):
         code, out, _ = run(capsys, ["verify-ck", "--matrix", golden_file, "--inject-fault"])
         assert code == 1

@@ -5,6 +5,7 @@ and products, adjoints and comparisons that agree with the dense forms."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ MATRICES = {
     "random3": RANDOM3_ROWS,
     "full3": FULL3_ROWS,
 }
+DATA = Path(__file__).parent / "data"
 GRID = [(1, 1), (1, 2), (2, 1), (2, 2)]
 CASES = [
     (name, n0, n, fault)
@@ -234,6 +236,31 @@ def test_a_cell_in_two_witness_blocks_holds_their_sum(monkeypatch):
         for f in report.failures
         if f["kind"] == "entry_mismatch"
     ]
+
+
+def test_witness_failure_records_are_pinned(monkeypatch):
+    # a second unit in the row of one block's first unit breaks that block's
+    # partial isometry and the embedding identity: both kinds of record, in
+    # generator-then-power order, entry mismatches before blocks
+    alg = CuntzKriegerAlgebra(validate(GOLDEN_ROWS))
+    real = alg._witness_units
+    w = len(alg.words(2))
+
+    def row_pair(*args):
+        blocks = real(*args)
+        for units in blocks.values():
+            if units:
+                r, c = min(units)
+                units.add((r, (c + 1) % w))
+                break
+        return blocks
+
+    monkeypatch.setattr(alg, "_witness_units", row_pair)
+    report = verify_witness_decomposition(alg, 1, 1)
+    assert (report.cases, report.passed) == (14, 4)
+    assert {f["kind"] for f in report.failures} == {"entry_mismatch", "not_partial_isometry"}
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert text == (DATA / "verify_witness_golden_1_1_row_pair.json").read_text()
 
 
 def _block(alg, cells):
