@@ -51,6 +51,7 @@ from typing import Iterator, NamedTuple
 from .matrix import TransitionMatrix, _matmul
 from .sft import (
     Word,
+    _admissible,
     _check_word,
     _words_from,
     enumerate_words,
@@ -242,9 +243,6 @@ class CuntzKriegerAlgebra:
             self._word_cache[k] = tuple(enumerate_words(self.matrix, k))
         return self._word_cache[k]
 
-    def _check_word(self, word) -> Word:
-        return _check_word(word, self.n)
-
     def _span(self, index: tuple[Word, ...], prefix: Word) -> range:
         """Positions, in the sorted word tuple ``index``, of the words that
         start with ``prefix``: a contiguous range.  A word as long as those
@@ -252,13 +250,9 @@ class CuntzKriegerAlgebra:
         lo = bisect_left(index, prefix)
         return range(lo, bisect_left(index, prefix + (self.n + 1,), lo))
 
-    def _admissible(self, word: Word) -> bool:
-        rows = self._rows
-        return all(rows[a - 1][b - 1] for a, b in zip(word, word[1:]))
-
     def _mono(self, left: Word, right: Word) -> Monomial | None:
         """Monomial under the construction-time zero identification, or None."""
-        if not self._admissible(left) or not self._admissible(right):
+        if not _admissible(self._rows, left) or not _admissible(self._rows, right):
             return None
         return self._meet(left, right)
 
@@ -289,7 +283,7 @@ class CuntzKriegerAlgebra:
         """
         acc: dict[Monomial, numbers.Rational] = {}
         for (left, right), c in terms.items():
-            m = self._mono(self._check_word(left), self._check_word(right))
+            m = self._mono(_check_word(left, self.n), _check_word(right, self.n))
             if m is not None:
                 acc[m] = acc.get(m, 0) + _coeff(c)
         return CKElement(self, acc)
@@ -297,7 +291,7 @@ class CuntzKriegerAlgebra:
     def monomial(self, left, right, coeff=1) -> CKElement:
         """coeff * S_left S_right*; the zero element when the monomial
         vanishes in the algebra."""
-        m = self._mono(self._check_word(left), self._check_word(right))
+        m = self._mono(_check_word(left, self.n), _check_word(right, self.n))
         if m is None:
             return self.zero
         return CKElement(self, {m: _coeff(coeff)})
@@ -315,7 +309,7 @@ class CuntzKriegerAlgebra:
 
     def q(self, i: int) -> CKElement:
         """Support projection S_i* S_i, expanded as sum_j A(i,j) P_j."""
-        self._check_word((i,))
+        _check_word((i,), self.n)
         return CKElement(
             self, {Monomial((j,), (j,)): 1 for j in self._succ[i - 1]}
         )
@@ -332,12 +326,12 @@ class CuntzKriegerAlgebra:
     def _generator_words(self, alpha, i: int, beta) -> tuple[Word, Word]:
         """alpha and beta as words, checked for S_alpha P_i S_beta*: every
         symbol (i too) in range, and alpha and beta admissible."""
-        a = self._check_word(alpha)
-        b = self._check_word(beta)
-        self._check_word((i,))
-        if not self._admissible(a):
+        a = _check_word(alpha, self.n)
+        b = _check_word(beta, self.n)
+        _check_word((i,), self.n)
+        if not _admissible(self._rows, a):
             raise InadmissibleWordError(f"alpha {a} is not admissible")
-        if not self._admissible(b):
+        if not _admissible(self._rows, b):
             raise InadmissibleWordError(f"beta {b} is not admissible")
         return a, b
 
@@ -530,27 +524,22 @@ class CuntzKriegerAlgebra:
         |b| <= |a|, and 0 <= l <= m - 1 - |a|."""
         index = self.words(m)
         span = self._span
-        mid_len = m - l - len(a)
-        etas = self.words(l)
-        mids = _words_from(self._succ, mid_len, (i,))
-        # every word looked up below has length m, so its span is its one
-        # position, or empty when the word is inadmissible
+        # a column word is eta b mid mu, or eta b mid when |a| = |b|: its
+        # block is keyed by its tail mu, or by its last symbol, the end of mid
         if len(a) > len(b):
             out = {mu: set() for mu in self.words(len(a) - len(b))}
-            for eta in etas:
-                for mid in mids:
-                    for row in span(index, eta + a + mid):
-                        # the columns are the words eta b mid mu, one per mu
-                        head = len(eta) + len(b) + len(mid)
-                        for col in span(index, eta + b + mid):
-                            out[index[col][head:]].add((row, col))
-            return out
-        out = {j: set() for j in range(1, self.n + 1)}
-        for eta in etas:
+            key = slice(len(b) - len(a), None)
+        else:
+            out = {j: set() for j in range(1, self.n + 1)}
+            key = -1
+        mids = _words_from(self._succ, m - l - len(a), (i,))
+        # every word looked up below has length m, so its span is its one
+        # position, or empty when the word is inadmissible
+        for eta in self.words(l):
             for mid in mids:
                 for row in span(index, eta + a + mid):
                     for col in span(index, eta + b + mid):
-                        out[mid[-1]].add((row, col))
+                        out[index[col][key]].add((row, col))
         return out
 
     # -- finite-dimensional picture of the degree-zero part ------------------
@@ -720,6 +709,34 @@ class VerificationReport:
         }
 
 
+def _record_case(report: VerificationReport, mismatches, names: tuple, values: tuple) -> None:
+    """Enter one checked case into ``report``: the one step by which both
+    verifiers count a case, compare it, and record how it failed.
+
+    ``mismatches`` yields one dict of details per mismatch the comparison
+    finds, and nothing when the case holds.  Each mismatch appends one
+    failure record: the fields that name the case (``names`` paired with
+    ``values``), then the details, every word written as a list.  Records
+    are built here, for a mismatch only, in the order of ``mismatches``.  A
+    case without a mismatch counts as passed.
+    """
+    report.cases += 1
+    failed = False
+    for detail in mismatches:
+        failed = True
+        record = dict(zip(names, values), **detail)
+        report.failures.append(
+            {key: list(v) if type(v) is tuple else v for key, v in record.items()}
+        )
+    report.passed += not failed
+
+
+def _unequal(alg: CuntzKriegerAlgebra, x: CKElement, y: CKElement) -> tuple:
+    """The mismatches of a relation case: one, without details, when x and
+    y differ in the algebra."""
+    return () if alg.equal(x, y) else ({},)
+
+
 def verify_relations(
     alg: CuntzKriegerAlgebra,
     max_word_len: int = 4,
@@ -732,32 +749,34 @@ def verify_relations(
     sum_j P_j = 1, the collapse rule S_mu* S_nu = delta_{mu nu} Q_t(mu) for
     words of equal length, absorption Q_eta S_alpha = A(eta o(alpha)) S_alpha,
     and the depth resolutions sum over length-m words of S_mu S_mu* = 1.
+    Each instance of a relation is one case, entered into the report by
+    ``_record_case``; a failed case leaves one record, and the records come
+    in the order above, each family in the order of its symbols and words.
 
     ``inject_fault`` corrupts one coefficient of the unit decomposition, to
     exercise the failure reporting path.
     """
     n = alg.n
-    failures: list[dict] = []
-    cases = 0
+    report = VerificationReport(
+        0, 0, params={"max_word_len": max_word_len, "max_state_len": max_state_len}
+    )
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            cases += 1
-            lhs = alg.p(i) * alg.p(j)
             rhs = alg.p(i) if i == j else alg.zero
-            if not alg.equal(lhs, rhs):
-                failures.append(
-                    {"relation": "range_projection_orthogonality", "i": i, "j": j}
-                )
+            _record_case(
+                report, _unequal(alg, alg.p(i) * alg.p(j), rhs),
+                ("relation", "i", "j"), ("range_projection_orthogonality", i, j),
+            )
 
-    cases += 1
     total = alg.zero
     for j in range(1, n + 1):
         total = total + alg.p(j)
     if inject_fault:
         total = total + alg.p(1) * Fraction(1, 2)
-    if not alg.equal(total, alg.identity):
-        failures.append({"relation": "unit_decomposition"})
+    _record_case(
+        report, _unequal(alg, total, alg.identity), ("relation",), ("unit_decomposition",)
+    )
 
     q = {j: alg.q(j) for j in range(1, n + 1)}
     s_levels = {
@@ -770,44 +789,31 @@ def verify_relations(
         for mu, _ in level:
             star = alg.s_star(mu)
             for nu, s_nu in level:
-                cases += 1
-                lhs = star * s_nu
                 rhs = q[mu[-1]] if mu == nu else alg.zero
-                if not alg.equal(lhs, rhs):
-                    failures.append(
-                        {"relation": "word_collapse", "mu": list(mu), "nu": list(nu)}
-                    )
+                _record_case(
+                    report, _unequal(alg, star * s_nu, rhs),
+                    ("relation", "mu", "nu"), ("word_collapse", mu, nu),
+                )
 
     for ke in range(1, max_state_len + 1):
         for eta, s_eta in s_levels[ke]:
             q_eta = alg.s_star(eta) * s_eta
             for ka in range(1, max_state_len + 1):
                 for a, s_a in s_levels[ka]:
-                    cases += 1
-                    lhs = q_eta * s_a
-                    factor = alg.matrix.entry(eta[-1], a[0])
-                    rhs = s_a if factor else alg.zero
-                    if not alg.equal(lhs, rhs):
-                        failures.append(
-                            {
-                                "relation": "support_absorption",
-                                "eta": list(eta),
-                                "alpha": list(a),
-                            }
-                        )
+                    rhs = s_a if alg.matrix.entry(eta[-1], a[0]) else alg.zero
+                    _record_case(
+                        report, _unequal(alg, q_eta * s_a, rhs),
+                        ("relation", "eta", "alpha"), ("support_absorption", eta, a),
+                    )
 
     for m in range(1, max_word_len + 1):
-        cases += 1
-        acc = {Monomial(wd, wd): 1 for wd in alg.words(m)}
-        if not alg.equal(CKElement(alg, acc), alg.identity):
-            failures.append({"relation": "depth_resolution", "m": m})
+        resolution = CKElement(alg, {Monomial(wd, wd): 1 for wd in alg.words(m)})
+        _record_case(
+            report, _unequal(alg, resolution, alg.identity),
+            ("relation", "m"), ("depth_resolution", m),
+        )
 
-    return VerificationReport(
-        cases=cases,
-        passed=cases - len(failures),
-        failures=failures,
-        params={"max_word_len": max_word_len, "max_state_len": max_state_len},
-    )
+    return report
 
 
 def _is_partial_permutation(units) -> bool:
@@ -832,8 +838,11 @@ def verify_witness_decomposition(
     witness blocks tensored with S_mu (or with Q_j); every witness block is
     additionally checked to be a partial isometry.  Both sides are sparse
     block matrices, compared cell by cell in row-major order over the cells
-    stored on either side.  Failures are reported in deterministic
-    generator-then-power order.
+    stored on either side.  Each (alpha, beta, i, l) is one case, entered
+    into the report by ``_record_case``; a failed case leaves one record per
+    mismatched cell, in row-major order, then one per block that is not a
+    partial isometry, in block order.  Cases come in generator-then-power
+    order: alpha and beta by length, then lexicographically, then i, then l.
 
     ``inject_fault`` removes one matrix unit (the first in row-major order)
     from the first nonempty witness block, to exercise the failure reporting
@@ -843,26 +852,16 @@ def verify_witness_decomposition(
         raise ValueError("n0 and n must be >= 1")
     m = n0 + n
     index = alg.words(m)
-    failures: list[dict] = []
-    cases = 0
-    failed_cases = 0
+    report = VerificationReport(0, 0, params={"n0": n0, "n": n, "m": m})
     injected = False
     # S_mu for a block keyed by a word, Q_j for one keyed by a symbol
     pieces: dict = {}
 
-    alphas: list[Word] = [()]
-    for k in range(1, n0 + 1):
-        alphas.extend(alg.words(k))
-    for alpha in alphas:
-        betas: list[Word] = [()]
-        for k in range(1, len(alpha) + 1):
-            betas.extend(alg.words(k))
-        for beta in betas:
+    for alpha in [w for k in range(n0 + 1) for w in alg.words(k)]:
+        for beta in [w for k in range(len(alpha) + 1) for w in alg.words(k)]:
             for i in range(1, alg.n + 1):
                 gen = alg.generator(alpha, i, beta)
                 for l in range(n):
-                    cases += 1
-                    case_failures = len(failures)
                     # alpha and beta are admissible, |beta| <= |alpha| <= n0
                     # and l < n, so the case meets witness_blocks' checks
                     blocks = alg._witness_units(alpha, beta, i, l, m)
@@ -886,36 +885,16 @@ def verify_witness_decomposition(
                             prev = rhs_cells.get(cell)
                             rhs_cells[cell] = piece if prev is None else prev + piece
                     rhs = BlockMatrix(alg, m, index, rhs_cells)
-                    for r, c in lhs._mismatches(rhs):
-                        failures.append(
-                            {
-                                "alpha": list(alpha),
-                                "beta": list(beta),
-                                "i": i,
-                                "l": l,
-                                "kind": "entry_mismatch",
-                                "row": list(index[r]),
-                                "col": list(index[c]),
-                            }
-                        )
-                    for key, units in blocks.items():
-                        if not _is_partial_permutation(units):
-                            failures.append(
-                                {
-                                    "alpha": list(alpha),
-                                    "beta": list(beta),
-                                    "i": i,
-                                    "l": l,
-                                    "kind": "not_partial_isometry",
-                                    "block": list(key) if isinstance(key, tuple) else key,
-                                }
-                            )
-                    if len(failures) > case_failures:
-                        failed_cases += 1
+                    mismatches = [
+                        {"kind": "entry_mismatch", "row": index[r], "col": index[c]}
+                        for r, c in lhs._mismatches(rhs)
+                    ] + [
+                        {"kind": "not_partial_isometry", "block": key}
+                        for key, units in blocks.items()
+                        if not _is_partial_permutation(units)
+                    ]
+                    _record_case(
+                        report, mismatches, ("alpha", "beta", "i", "l"), (alpha, beta, i, l)
+                    )
 
-    return VerificationReport(
-        cases=cases,
-        passed=cases - failed_cases,
-        failures=failures,
-        params={"n0": n0, "n": n, "m": m},
-    )
+    return report

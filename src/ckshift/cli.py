@@ -24,6 +24,7 @@ from .ck import (
     verify_witness_decomposition,
 )
 from .matrix import (
+    _fmt_count,
     _word_counts,
     dual_matrix,
     is_irreducible,
@@ -34,7 +35,6 @@ from .matrix import (
 from .sft import (
     _estimate_rows,
     _fmt,
-    _fmt_count,
     entropy_estimates,
     enumerate_words,
     markov_entropy,

@@ -569,6 +569,17 @@ def spectral_radius(
     )
 
 
+def _fmt_count(count: int) -> str:
+    """Every digit of an exact count.  Past the int-to-str digit limit of
+    Python >= 3.10.7, meant for parsing, ``decimal`` converts it."""
+    try:
+        return str(count)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(count))
+
+
 # the most cells the edge matrix of dual_matrix may have, sized like
 # sft.WORD_CAP: its rows are shared, but ``ckshift dual`` prints every cell
 _EDGE_CELL_CAP = 10_000_000
@@ -591,7 +602,8 @@ def dual_matrix(mat: IntMatrix) -> DualDecomposition:
     ecount = sum(map(sum, mat.entries))
     if ecount * ecount > _EDGE_CELL_CAP:
         raise MatrixError(
-            f"{ecount} edges give an edge matrix of {ecount * ecount} cells, "
+            f"{_fmt_count(ecount)} edges give an edge matrix of "
+            f"{_fmt_count(ecount * ecount)} cells, "
             f"more than the cap of {_EDGE_CELL_CAP}"
         )
     n = mat.n

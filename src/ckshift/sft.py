@@ -16,6 +16,7 @@ from .matrix import (
     MatrixError,
     NotIrreducibleError,
     TransitionMatrix,
+    _fmt_count,
     _word_counts,
     spectral_radius,
     word_count,
@@ -69,8 +70,12 @@ def is_admissible(mat: TransitionMatrix, word) -> bool:
 
     Empty and single-letter words are admissible by convention.
     """
-    w = _check_word(word, mat.n)
-    return all(mat.entry(a, b) for a, b in zip(w, w[1:]))
+    return _admissible(mat.entries, _check_word(word, mat.n))
+
+
+def _admissible(rows, word: Word) -> bool:
+    """``is_admissible`` for a checked word, over the 0-indexed grid rows."""
+    return all(rows[a - 1][b - 1] for a, b in zip(word, word[1:]))
 
 
 def enumerate_words(mat: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list[Word]:
@@ -212,17 +217,6 @@ def partition_entropy(pd: ParryData, n: int, cap: int = WORD_CAP) -> float:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".15g")
-
-
-def _fmt_count(count: int) -> str:
-    """Every digit of an exact count.  Past the int-to-str digit limit of
-    Python >= 3.10.7, meant for parsing, ``decimal`` converts it."""
-    try:
-        return str(count)
-    except ValueError:
-        import decimal
-
-        return str(decimal.Decimal(count))
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,18 @@ class TestDual:
             "more than the cap of 10000000\n"
         )
 
+    def test_cap_message_past_the_int_str_limit(self, capsys, tmp_path):
+        # a 2200-digit entry parses, under the int-to-str limit of 4300, but
+        # the cell count, its square, has 4399 digits
+        edges = "1" + "0" * 2199
+        path = tmp_path / "huge.txt"
+        path.write_text(edges + "\n")
+        code, out, err = run(capsys, ["dual", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {edges} edges give an edge matrix of 1{'0' * 4398} cells, "
+            "more than the cap of 10000000\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_output_is_pinned(self, capsys, fmt):

@@ -309,6 +309,17 @@ class TestDual:
         with pytest.raises(MatrixError, match="3164 edges give an edge matrix of 10010896"):
             dual_matrix(validate_int([[3000, 163], [1, 0]]))
 
+    def test_cap_message_past_the_int_str_limit(self):
+        # 10^2199 edges: the count has 2200 digits, but the cell count, its
+        # square, has 4399, past the default int-to-str limit of 4300
+        edges = "1" + "0" * 2199
+        with pytest.raises(MatrixError) as exc:
+            dual_matrix(validate_int([[10**2199]]))
+        assert str(exc.value) == (
+            f"{edges} edges give an edge matrix of 1{'0' * 4398} cells, "
+            "more than the cap of 10000000"
+        )
+
     def test_random_factorizations_exact(self):
         rng = seeded(105)
         done = 0

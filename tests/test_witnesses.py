@@ -6,6 +6,7 @@ from ckshift import (
     WitnessPreconditionError,
     verify_witness_decomposition,
 )
+from ckshift.sft import _admissible
 
 
 def unit_positions(block):
@@ -42,7 +43,7 @@ class TestWitnessBlocks:
     def test_every_block_is_partial_isometry(self, golden_alg, full2_alg, random3_alg):
         for alg in (golden_alg, full2_alg, random3_alg):
             for alpha, beta in (((), ()), ((1,), ()), ((1,), (1,)), ((1, 1), (2,))):
-                if alpha and not alg._admissible(alpha):
+                if alpha and not _admissible(alg.matrix.entries, alpha):
                     continue
                 for i in range(1, alg.n + 1):
                     for l in (0, 1):
