@@ -33,20 +33,20 @@ S_mu* S_a S_b* S_nu, two products of bare monomials, and a product of
 stored monomials checks only its new junction and the two termini, since
 the words it joins are admissible already.
 
-Words are found by bisection in the sorted tuple of admissible words of
-their length: the words with a given prefix form one contiguous range of it,
-and a concatenation of admissible words is admissible exactly when it is
-found there.  The canonical shift is concatenation too, since
-S_eta S_a S_b* S_eta* = S_{eta a} S_{eta b}*; it multiplies nothing.
+Words are found in one prefix table per length m, built once from the
+sorted tuple of admissible words of that length: the words with a given
+prefix form one contiguous range of it, and a concatenation of admissible
+words of total length m is admissible exactly when the table holds it.  The
+canonical shift is concatenation too, since S_eta S_a S_b* S_eta* =
+S_{eta a} S_{eta b}*; it multiplies nothing.
 """
 
 from __future__ import annotations
 
 import numbers
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .matrix import TransitionMatrix, _matmul
 from .sft import (
@@ -232,6 +232,7 @@ class CuntzKriegerAlgebra:
             sum(1 << (j - 1) for j in row) for row in matrix.successors
         )
         self._word_cache: dict[int, tuple[Word, ...]] = {0: ((),)}
+        self._span_cache: dict[int, dict[Word, range]] = {}
         self.zero = CKElement(self, {})
         self.identity = CKElement(self, {Monomial((), ()): 1})
 
@@ -243,12 +244,26 @@ class CuntzKriegerAlgebra:
             self._word_cache[k] = tuple(enumerate_words(self.matrix, k))
         return self._word_cache[k]
 
-    def _span(self, index: tuple[Word, ...], prefix: Word) -> range:
-        """Positions, in the sorted word tuple ``index``, of the words that
-        start with ``prefix``: a contiguous range.  A word as long as those
-        in ``index`` is admissible exactly when its range is not empty."""
-        lo = bisect_left(index, prefix)
-        return range(lo, bisect_left(index, prefix + (self.n + 1,), lo))
+    def _spans(self, m: int) -> dict[Word, range]:
+        """The prefix table of ``words(m)``: every prefix (of length 0 to m)
+        of an admissible length-m word, mapped to the positions of the words
+        that start with it, a contiguous range of the sorted tuple.  A full
+        word maps to its one position; a prefix the table lacks has the
+        empty range, so a length-m word is admissible exactly when the
+        table holds it."""
+        spans = self._span_cache.get(m)
+        if spans is None:
+            first: dict[Word, int] = {}
+            last: dict[Word, int] = {}
+            for pos, word in enumerate(self.words(m)):
+                for k in range(m + 1):
+                    prefix = word[:k]
+                    first.setdefault(prefix, pos)
+                    last[prefix] = pos
+            spans = self._span_cache[m] = {
+                prefix: range(lo, last[prefix] + 1) for prefix, lo in first.items()
+            }
+        return spans
 
     def _mono(self, left: Word, right: Word) -> Monomial | None:
         """Monomial under the construction-time zero identification, or None."""
@@ -337,8 +352,9 @@ class CuntzKriegerAlgebra:
 
     # -- multiplication ----------------------------------------------------
 
-    def _pair_products(self, m1: Monomial, m2: Monomial) -> Iterator[Monomial]:
-        """Monomials of (S_mu S_nu*)(S_al S_be*), each with coefficient 1.
+    def _pair_products(self, m1: Monomial, m2: Monomial) -> Sequence[Monomial]:
+        """Monomials of (S_mu S_nu*)(S_al S_be*), each with coefficient 1:
+        none, one, or those of ``_extend``, all distinct.
 
         If al extends nu the inner isometries collapse onto the surplus; if
         nu extends al symmetrically; if nu = al the support projection in the
@@ -355,18 +371,17 @@ class CuntzKriegerAlgebra:
                 # empty middle, or the support projection in the middle is
                 # absorbed by an adjacent word with the same terminus
                 m = self._meet(mu, be)
-                if m is not None:
-                    yield m
-                return
-            yield from self._extend(mu, be, self._succ[nu[-1] - 1])
-        elif len(al) > len(nu) and al[: len(nu)] == nu:
+                return () if m is None else (m,)
+            return self._extend(mu, be, self._succ[nu[-1] - 1])
+        if len(al) > len(nu) and al[: len(nu)] == nu:
             left = self._cat(mu, al[len(nu) :])
             if left is not None:
-                yield Monomial(left, be)
+                return (Monomial(left, be),)
         elif len(nu) > len(al) and nu[: len(al)] == al:
             right = self._cat(be, nu[len(al) :])
             if right is not None:
-                yield Monomial(mu, right)
+                return (Monomial(mu, right),)
+        return ()
 
     def _multiply(self, x: CKElement, y: CKElement) -> CKElement:
         acc: dict[Monomial, numbers.Rational] = {}
@@ -379,18 +394,17 @@ class CuntzKriegerAlgebra:
 
     # -- refinement and equality -------------------------------------------
 
-    def _extend(self, mu: Word, nu: Word, symbols) -> Iterator[Monomial]:
+    def _extend(self, mu: Word, nu: Word, symbols) -> list[Monomial]:
         """S_{mu j} S_{nu j}* for each j in ``symbols`` that may follow both
         mu and nu (an empty word allows every symbol)."""
         rows = self._rows
-        lt = mu[-1] - 1 if mu else None
-        rt = nu[-1] - 1 if nu else None
-        for j in symbols:
-            if lt is not None and not rows[lt][j - 1]:
-                continue
-            if rt is not None and not rows[rt][j - 1]:
-                continue
-            yield Monomial(mu + (j,), nu + (j,))
+        lrow = rows[mu[-1] - 1] if mu else None
+        rrow = rows[nu[-1] - 1] if nu else None
+        return [
+            Monomial(mu + (j,), nu + (j,))
+            for j in symbols
+            if (lrow is None or lrow[j - 1]) and (rrow is None or rrow[j - 1])
+        ]
 
     def _refine_terms(self, terms: dict, depth: int) -> dict:
         acc: dict[Monomial, numbers.Rational] = {}
@@ -453,28 +467,37 @@ class CuntzKriegerAlgebra:
 
     def block_embedding(self, m: int, x: CKElement) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
-        to S_mu* x S_nu; a *-homomorphism into the block algebra.
+        to S_mu* x S_nu; a *-homomorphism into the block algebra."""
+        if m < 1:
+            raise ValueError("block depth must be >= 1")
+        cells = self._embedding_cells(m, x)
+        return BlockMatrix(
+            self, m, self.words(m), {key: CKElement(self, terms) for key, terms in cells.items()}
+        )
+
+    def _embedding_cells(self, m: int, x: CKElement) -> dict:
+        """The cells of ``block_embedding(m, x)`` as raw term maps, a dict
+        {(row, col): {monomial: coeff}} keyed by word index; m >= 1.
 
         Each term c S_a S_b* of x adds c S_mu* S_a S_b* S_nu to the cell
         (mu, nu), two products of bare monomials.  That is nonzero only when
         mu is prefix-comparable with a, and nu with the right word of
-        S_mu* S_a S_b*, so only those rows and columns are visited; the
-        nonzero cells are the stored ones.
+        S_mu* S_a S_b*, so only those rows and columns are visited.  The
+        maps are not normalized: a cell whose terms cancel keeps them, with
+        coefficient 0, or is left empty.
         """
-        if m < 1:
-            raise ValueError("block depth must be >= 1")
         index = self.words(m)
-        span, pair = self._span, self._pair_products
+        spans, pair = self._spans(m), self._pair_products
+        empty = range(0)
         acc: dict[tuple[int, int], dict] = {}
         for term, c in x.terms.items():
-            for r in span(index, term.left[:m]):
+            for r in spans.get(term.left[:m], empty):
                 for half in pair(((), index[r]), term):
-                    for col in span(index, half.right[:m]):
+                    for col in spans.get(half.right[:m], empty):
                         cell = acc.setdefault((r, col), {})
                         for mono in pair(half, (index[col], ())):
                             cell[mono] = cell.get(mono, 0) + c
-        cells = {key: CKElement(self, terms) for key, terms in acc.items()}
-        return BlockMatrix(self, m, index, cells)
+        return acc
 
     # -- witness blocks for the embedding identities -------------------------
 
@@ -522,8 +545,8 @@ class CuntzKriegerAlgebra:
         (row, col) matrix units, keyed (and ordered) the same way.  The
         arguments are trusted: a and b are admissible word tuples with
         |b| <= |a|, and 0 <= l <= m - 1 - |a|."""
-        index = self.words(m)
-        span = self._span
+        index, spans = self.words(m), self._spans(m)
+        empty = range(0)
         # a column word is eta b mid mu, or eta b mid when |a| = |b|: its
         # block is keyed by its tail mu, or by its last symbol, the end of mid
         if len(a) > len(b):
@@ -533,12 +556,13 @@ class CuntzKriegerAlgebra:
             out = {j: set() for j in range(1, self.n + 1)}
             key = -1
         mids = _words_from(self._succ, m - l - len(a), (i,))
-        # every word looked up below has length m, so its span is its one
-        # position, or empty when the word is inadmissible
+        # a row word has length m, so its span is its one position, or empty
+        # when the word is inadmissible; the columns are the words that
+        # extend eta b mid by a tail mu
         for eta in self.words(l):
             for mid in mids:
-                for row in span(index, eta + a + mid):
-                    for col in span(index, eta + b + mid):
+                for row in spans.get(eta + a + mid, empty):
+                    for col in spans.get(eta + b + mid, empty):
                         out[index[col][key]].add((row, col))
         return out
 
@@ -588,6 +612,29 @@ class CuntzKriegerAlgebra:
             depth,
             {t: tuple(tuple(row) for row in grid) for t, grid in grids.items()},
         )
+
+
+def _cell_mismatches(alg: CuntzKriegerAlgebra, lhs: dict, rhs: dict) -> list:
+    """The (row, col) keys, in row-major order, where two block matrices,
+    given as term maps {(row, col): {monomial: coeff}}, differ in the
+    algebra; a cell missing on one side is zero there.
+
+    Cells with equal term maps are equal.  Only the others go through
+    ``alg.equal``, which decides cancellation and refinement, so only they
+    become elements and only their keys are sorted.
+    """
+    if lhs == rhs:
+        return []
+    empty: dict = {}
+    differing = [key for key, terms in lhs.items() if rhs.get(key, empty) != terms]
+    differing += [key for key, terms in rhs.items() if terms and key not in lhs]
+    return [
+        key
+        for key in sorted(differing)
+        if not alg.equal(
+            CKElement(alg, lhs.get(key, empty)), CKElement(alg, rhs.get(key, empty))
+        )
+    ]
 
 
 class BlockMatrix:
@@ -641,22 +688,15 @@ class BlockMatrix:
         cells = {(c, r): x.adjoint() for (r, c), x in self._cells.items()}
         return BlockMatrix(self.algebra, self.depth, self.index, cells)
 
-    def _mismatches(self, other: "BlockMatrix") -> Iterator[tuple[int, int]]:
-        """The (row, col) cells where the two matrices differ in the
-        algebra, in row-major order.  Only a cell stored on one side or the
-        other can differ: every other cell is zero on both."""
-        zero = self.algebra.zero
-        equal = self.algebra.equal
-        mine, theirs = self._cells, other._cells
-        for key in sorted(mine.keys() | theirs.keys()):
-            if not equal(mine.get(key, zero), theirs.get(key, zero)):
-                yield key
-
     def equals(self, other: "BlockMatrix") -> bool:
         """Entrywise equality in the algebra."""
         if self.algebra is not other.algebra or self.index != other.index:
             return False
-        return next(self._mismatches(other), None) is None
+        return not _cell_mismatches(
+            self.algebra,
+            {key: x.terms for key, x in self._cells.items()},
+            {key: x.terms for key, x in other._cells.items()},
+        )
 
 
 class BlockDiagonal:
@@ -713,22 +753,20 @@ def _record_case(report: VerificationReport, mismatches, names: tuple, values: t
     """Enter one checked case into ``report``: the one step by which both
     verifiers count a case, compare it, and record how it failed.
 
-    ``mismatches`` yields one dict of details per mismatch the comparison
-    finds, and nothing when the case holds.  Each mismatch appends one
+    ``mismatches`` holds one dict of details per mismatch the comparison
+    finds (a tuple or a list), and is empty when the case holds.  Each mismatch appends one
     failure record: the fields that name the case (``names`` paired with
     ``values``), then the details, every word written as a list.  Records
     are built here, for a mismatch only, in the order of ``mismatches``.  A
     case without a mismatch counts as passed.
     """
     report.cases += 1
-    failed = False
+    report.passed += not mismatches
     for detail in mismatches:
-        failed = True
         record = dict(zip(names, values), **detail)
         report.failures.append(
             {key: list(v) if type(v) is tuple else v for key, v in record.items()}
         )
-    report.passed += not failed
 
 
 def _unequal(alg: CuntzKriegerAlgebra, x: CKElement, y: CKElement) -> tuple:
@@ -819,7 +857,8 @@ def verify_relations(
 def _is_partial_permutation(units) -> bool:
     """True iff the 0/1 matrix with these (row, col) units satisfies
     B B^T B = B, i.e. no row and no column holds two units."""
-    return len({r for r, _ in units}) == len(units) == len({c for _, c in units})
+    by_row = dict(units)
+    return len(by_row) == len(units) == len(set(by_row.values()))
 
 
 def verify_witness_decomposition(
@@ -837,11 +876,11 @@ def verify_witness_decomposition(
     the embedding at depth m = n + n0 and compared entrywise with the sum of
     witness blocks tensored with S_mu (or with Q_j); every witness block is
     additionally checked to be a partial isometry.  Both sides are sparse
-    block matrices, compared cell by cell in row-major order over the cells
-    stored on either side.  Each (alpha, beta, i, l) is one case, entered
-    into the report by ``_record_case``; a failed case leaves one record per
-    mismatched cell, in row-major order, then one per block that is not a
-    partial isometry, in block order.  Cases come in generator-then-power
+    maps from cells to terms, compared by ``_cell_mismatches``: only a cell
+    whose term maps differ goes to ``alg.equal``.  Each (alpha, beta, i, l)
+    is one case, entered into the report by ``_record_case``; a failed case
+    leaves one record per mismatched cell, in row-major order, then one per
+    block that is not a partial isometry, in block order.  Cases come in generator-then-power
     order: alpha and beta by length, then lexicographically, then i, then l.
 
     ``inject_fault`` removes one matrix unit (the first in row-major order)
@@ -871,23 +910,24 @@ def verify_witness_decomposition(
                                 units.remove(min(units))
                                 injected = True
                                 break
-                    lhs = alg.block_embedding(m, alg.shift(gen, l))
-                    rhs_cells: dict[tuple[int, int], CKElement] = {}
+                    lhs = alg._embedding_cells(m, alg.shift(gen, l))
+                    rhs: dict[tuple[int, int], dict] = {}
                     for key, units in blocks.items():
                         piece = pieces.get(key)
                         if piece is None:
                             piece = pieces[key] = (
                                 alg.s(key) if isinstance(key, tuple) else alg.q(key)
                             )
-                        # elements are immutable, so a cell that one unit
-                        # covers holds the shared piece itself
+                        # a cell that one unit covers shares the piece's
+                        # terms; neither side's maps are written to below
                         for cell in units:
-                            prev = rhs_cells.get(cell)
-                            rhs_cells[cell] = piece if prev is None else prev + piece
-                    rhs = BlockMatrix(alg, m, index, rhs_cells)
+                            if cell in rhs:
+                                rhs[cell] = (CKElement(alg, rhs[cell]) + piece).terms
+                            else:
+                                rhs[cell] = piece.terms
                     mismatches = [
                         {"kind": "entry_mismatch", "row": index[r], "col": index[c]}
-                        for r, c in lhs._mismatches(rhs)
+                        for r, c in _cell_mismatches(alg, lhs, rhs)
                     ] + [
                         {"kind": "not_partial_isometry", "block": key}
                         for key, units in blocks.items()

@@ -18,11 +18,6 @@ import json
 import math
 import sys
 
-from .ck import (
-    CuntzKriegerAlgebra,
-    verify_relations,
-    verify_witness_decomposition,
-)
 from .matrix import (
     _fmt_count,
     _word_counts,
@@ -171,10 +166,16 @@ def _cmd_dual(args) -> int:
         print(f"edge alphabet size {len(edges)}")
         print("edges (source, target, copy): " + " ".join(map(str, edges)))
         titles = ("edge matrix:", "left factor S:", "right factor T:")
+        # edges into one state share their rows of A' and T: format each
+        # distinct row once
+        lines: dict[tuple, str] = {}
         for title, rows in zip(titles, (a_prime, s, t)):
             print(title)
             for row in rows:
-                print("  " + " ".join(map(str, row)))
+                line = lines.get(row)
+                if line is None:
+                    line = lines[row] = "  " + " ".join(map(str, row))
+                print(line)
     return 0
 
 
@@ -231,6 +232,8 @@ def _finish_verification(args, report) -> int:
 
 
 def _cmd_verify_ck(args) -> int:
+    from .ck import CuntzKriegerAlgebra, verify_relations
+
     mat = load_matrix(args.matrix)
     alg = CuntzKriegerAlgebra(mat)
     report = verify_relations(alg, inject_fault=args.inject_fault)
@@ -238,6 +241,8 @@ def _cmd_verify_ck(args) -> int:
 
 
 def _cmd_verify_witnesses(args) -> int:
+    from .ck import CuntzKriegerAlgebra, verify_witness_decomposition
+
     mat = load_matrix(args.matrix)
     alg = CuntzKriegerAlgebra(mat)
     report = verify_witness_decomposition(

@@ -7,8 +7,9 @@ identity B B^T B = B.  Block matrices here are dense grids (a tuple of row
 tuples of elements), multiplied by the loop over all w^3 index triples that
 ``BlockMatrix`` used before it stored only its nonzero cells.  None of this
 shares code with the sparse paths in ``ck.py`` (witness units, the pruned
-block embedding, word lookup by bisection, stored cells), so agreement of
-the two is an independent check of them.  Admissibility of a concatenation
+block embedding, the prefix table of word positions, stored cells, term
+maps compared before ``equal``), so agreement of the two is an independent
+check of them.  Admissibility of a concatenation
 is decided here by checking each junction, and the shift by multiplying out
 S_eta x S_eta*, where ``ck.py`` looks words up and concatenates.  Elements
 are multiplied here by ``product``, which walks every word of every result,

@@ -1,4 +1,5 @@
-"""numpy is loaded only by the float Perron search and by ``witness_blocks``.
+"""numpy is loaded only by the float Perron search and by ``witness_blocks``,
+and the algebra module ``ck`` only by the two verify subcommands.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded already.  The exact subcommands (``validate``, ``words``,
@@ -95,3 +96,103 @@ def test_exact_subcommands_never_load_numpy(tmp_path):
     assert lazy["spectral_radius"] == eager["spectral_radius"]
     assert lazy["witness_blocks"] == eager["witness_blocks"]
     assert "array(" in lazy["witness_blocks"]
+
+
+# every name ``from ckshift import *`` bound when the package imported its
+# submodules eagerly
+STAR_NAMES = sorted("""
+    BlockDiagonal BlockMatrix CKElement ConvergenceReport ConvergenceRow
+    CuntzKriegerAlgebra DepthExceededError DepthTooSmallError DualDecomposition
+    EntryOutOfRangeError InadmissibleWordError IntMatrix MatrixError Monomial
+    NoConvergenceError NonZeroDegreeError NotIrreducibleError NotSquareError
+    ParryData PerronData SymbolOutOfRangeError TooManyWordsError
+    TransitionMatrix VerificationReport WORD_CAP WitnessPreconditionError
+    ZeroColumnError ZeroRowError ck cylinder_probability dual_matrix
+    entropy_estimates enumerate_words is_admissible is_irreducible
+    is_permutation load_int_matrix load_matrix markov_entropy matrix
+    matrix_power parry_measure partition_entropy sft spectral_radius validate
+    validate_int verify_relations verify_witness_decomposition
+    witness_dimension word_count
+""".split())
+
+CK_SCRIPT = r"""
+import contextlib, io, json, sys
+
+import ckshift.cli
+
+report = {"after import": "ckshift.ck" in sys.modules, "runs": []}
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = ckshift.cli.main(argv)
+    report["runs"].append([argv[0], code, "ckshift.ck" in sys.modules])
+print(json.dumps(report))
+"""
+
+STAR_SCRIPT = r"""
+import json, sys
+
+import ckshift
+
+before = "ckshift.ck" in sys.modules
+names = {}
+exec("from ckshift import *", names)
+del names["__builtins__"]
+import ckshift.ck, ckshift.sft
+
+print(json.dumps({
+    "before": before,
+    "star": sorted(names),
+    "same objects": all(getattr(ckshift, k) is v for k, v in names.items()),
+    "dir covers star": set(names) <= set(dir(ckshift)),
+    "ck": ckshift.ck.CuntzKriegerAlgebra is ckshift.CuntzKriegerAlgebra,
+    "sft": ckshift.sft.enumerate_words is ckshift.enumerate_words,
+}))
+"""
+
+
+def _run_script(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_the_verify_subcommands_load_the_algebra(tmp_path):
+    golden = str(DATA / "golden.txt")
+    int_file = tmp_path / "int.txt"
+    int_file.write_text("0 2\n1 0\n")
+    runs = [
+        ["validate", "--matrix", golden],
+        ["entropy", "--k-max", "8", "--matrix", golden],
+        ["words", "--k-max", "3", "--matrix", golden],
+        ["parry", "--format", "json", "--matrix", golden],
+        ["dual", "--matrix", str(int_file)],
+        ["convergence", "--k-max", "4", "--matrix", golden],
+        ["verify-ck", "--matrix", golden],
+    ]
+    report = _run_script(CK_SCRIPT, json.dumps(runs))
+    assert report["after import"] is False
+    assert report["runs"] == [[argv[0], 0, argv[0] == "verify-ck"] for argv in runs]
+    lemma = _run_script(CK_SCRIPT, json.dumps([["verify-lemma2", "--n0", "1", "--n", "1",
+                                                "--matrix", golden]]))
+    assert lemma["runs"] == [["verify-lemma2", 0, True]]
+
+
+def test_star_import_binds_the_eager_names():
+    report = _run_script(STAR_SCRIPT)
+    assert report == {
+        "before": False,
+        "star": STAR_NAMES,
+        "same objects": True,
+        "dir covers star": True,
+        "ck": True,
+        "sft": True,
+    }

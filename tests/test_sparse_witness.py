@@ -3,7 +3,9 @@ dense reference in ``dense_witness_oracle``: byte-identical reports, the
 public dense views (``witness_blocks``, ``BlockMatrix.entries``) unchanged,
 and products, adjoints and comparisons that agree with the dense forms."""
 
+import itertools
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from ckshift import (
     validate,
     verify_witness_decomposition,
 )
-from ckshift.ck import _is_partial_permutation
+from ckshift.ck import Monomial, _cell_mismatches, _is_partial_permutation
 from ckshift.sft import _admissible
 
 from conftest import (
@@ -27,8 +29,10 @@ from conftest import (
     PERM2_ROWS,
     RANDOM3_ROWS,
     random_degree_zero,
+    random_irreducible,
     random_monomial,
     seeded,
+    sparse_irreducible,
 )
 from dense_witness_oracle import (
     dense_adjoint,
@@ -295,3 +299,110 @@ def test_equals_with_a_stored_cell_that_is_zero_in_the_algebra(algebras):
         other = _block(alg, {(0, 0): vanishing, (1, 1): alg.p(1)})
         assert not stored.equals(other)
         assert not other.equals(stored)
+
+
+def _relabelled_chord_cycle():
+    """A 5-cycle with two chords, its states shuffled."""
+    rng = seeded(1414)
+    rows = sparse_irreducible(rng, 5, extra_edges=2).entries
+    order = list(range(5))
+    rng.shuffle(order)
+    return [[rows[order[i]][order[j]] for j in range(5)] for i in range(5)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [GOLDEN_ROWS, FULL3_ROWS, RANDOM3_ROWS, _relabelled_chord_cycle()],
+    ids=["golden", "full3", "random3", "chord5"],
+)
+def test_prefix_table_matches_bisection(rows):
+    # every word over the alphabet of length <= m, admissible or not, gets
+    # the range that bisection in words(m) gives; the table stores only the
+    # prefixes of admissible words
+    alg = CuntzKriegerAlgebra(validate(rows))
+    n = alg.n
+    for m in range(1, 5):
+        index = alg.words(m)
+        spans = alg._spans(m)
+        assert alg._spans(m) is spans
+        for k in range(m + 1):
+            for prefix in itertools.product(range(1, n + 1), repeat=k):
+                lo = bisect_left(index, prefix)
+                want = range(lo, bisect_left(index, prefix + (n + 1,), lo))
+                got = spans.get(prefix, range(0))
+                assert got == want and (prefix in spans) == bool(want), (m, prefix)
+        assert set(spans) == {word[:k] for word in index for k in range(m + 1)}
+        for pos, word in enumerate(index):
+            assert spans[word] == range(pos, pos + 1)
+
+
+@pytest.mark.parametrize("seed,n", [(32, 3), (33, 3), (34, 4), (35, 4)])
+def test_report_matches_dense_oracle_on_seeded_matrices(seed, n):
+    alg = CuntzKriegerAlgebra(random_irreducible(seeded(seed), n, density=0.5))
+    for (n0, nn), fault in itertools.product([(1, 1), (1, 2), (2, 1)], (False, True)):
+        sparse = verify_witness_decomposition(alg, n0, nn, inject_fault=fault)
+        dense = verify_witness_decomposition_dense(alg, n0, nn, inject_fault=fault)
+        assert sparse.to_json_dict() == dense.to_json_dict(), (n0, nn, fault)
+        assert sparse.ok is not fault
+
+
+def _vanishing(alg):
+    """Terms of P_1 + ... + P_n - 1: zero in the algebra, not as a map."""
+    terms = {Monomial((j,), (j,)): 1 for j in range(1, alg.n + 1)}
+    terms[Monomial((), ())] = -1
+    return terms
+
+
+def test_cell_mismatches_decide_cancelled_cells_in_the_algebra(algebras):
+    alg = algebras["golden"]
+    p1 = {Monomial((1,), (1,)): 1}
+    vanishing = _vanishing(alg)
+    zero_coefficient = {Monomial((1,), (2,)): 0}
+    # cancelled terms against an absent cell, either way round
+    for cancelled in (vanishing, zero_coefficient, {}):
+        assert _cell_mismatches(alg, {(0, 1): cancelled}, {}) == []
+        assert _cell_mismatches(alg, {}, {(0, 1): cancelled}) == []
+    # a cell that does not cancel, against an absent one: one mismatch
+    assert _cell_mismatches(alg, {(0, 1): p1}, {}) == [(0, 1)]
+    assert _cell_mismatches(alg, {}, {(0, 1): p1}) == [(0, 1)]
+    # maps that differ but agree in the algebra, and row-major order
+    padded = {**p1, **vanishing}
+    padded[Monomial((1,), (1,))] = 2
+    lhs = {(1, 0): p1, (0, 2): p1, (0, 1): padded, (2, 2): vanishing}
+    rhs = {(0, 1): p1, (1, 1): p1}
+    assert _cell_mismatches(alg, lhs, rhs) == [(0, 2), (1, 0), (1, 1)]
+    assert _cell_mismatches(alg, rhs, lhs) == [(0, 2), (1, 0), (1, 1)]
+
+
+def test_cancelled_terms_on_either_side_leave_the_report_unchanged(monkeypatch):
+    # the embedding's cells gain terms that cancel, and a cell of them where
+    # nothing is stored; the witness pieces gain terms that cancel: every
+    # term map differs, and only the algebra decides
+    alg = CuntzKriegerAlgebra(validate(RANDOM3_ROWS))
+    want = verify_witness_decomposition(alg, 1, 2, inject_fault=True).to_json_dict()
+    real_cells, real_s, real_q = alg._embedding_cells, alg.s, alg.q
+    vanishing = CKElement(alg, _vanishing(alg))
+    assert vanishing.terms and alg.equal(vanishing, alg.zero)
+
+    def padded_cells(m, x):
+        cells = real_cells(m, x)
+        w = len(alg.words(m))
+        free = next(key for key in itertools.product(range(w), repeat=2) if key not in cells)
+        for terms in cells.values():
+            for mono, c in vanishing.terms.items():
+                terms[mono] = terms.get(mono, 0) + c
+        cells[free] = dict(vanishing.terms)
+        return cells
+
+    monkeypatch.setattr(alg, "_embedding_cells", padded_cells)
+    monkeypatch.setattr(alg, "s", lambda word: real_s(word) + vanishing)
+    monkeypatch.setattr(alg, "q", lambda j: real_q(j) + vanishing)
+    got = verify_witness_decomposition(alg, 1, 2, inject_fault=True).to_json_dict()
+    assert got == want
+    assert want["cases"] - want["passed"] == 1
+
+
+def test_full3_depth_six_cases_all_pass():
+    alg = CuntzKriegerAlgebra(validate(FULL3_ROWS))
+    report = verify_witness_decomposition(alg, 3, 3)
+    assert (report.cases, report.passed, report.failures) == (10890, 10890, [])
