@@ -147,14 +147,10 @@ class CKElement:
     def degrees(self) -> list[int]:
         return sorted({m.degree for m in self.terms})
 
-    def _check_partner(self, other: "CKElement"):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements belong to different algebras")
-
     def __add__(self, other):
         if not isinstance(other, CKElement):
             return NotImplemented
-        self._check_partner(other)
+        self.algebra._check_own(other)
         merged = dict(self.terms)
         for m, c in other.terms.items():
             merged[m] = merged.get(m, 0) + c
@@ -170,7 +166,7 @@ class CKElement:
 
     def __mul__(self, other):
         if isinstance(other, CKElement):
-            self._check_partner(other)
+            self.algebra._check_own(other)
             return self.algebra._multiply(self, other)
         if isinstance(other, numbers.Rational):
             c = _coeff(other)
@@ -286,6 +282,10 @@ class CuntzKriegerAlgebra:
         if u and v and not self._rows[u[-1] - 1][v[0] - 1]:
             return None
         return u + v
+
+    def _check_own(self, x: CKElement) -> None:
+        if x.algebra is not self:
+            raise ValueError("elements belong to different algebras")
 
     # -- constructors ------------------------------------------------------
 
@@ -427,7 +427,8 @@ class CuntzKriegerAlgebra:
         maps compared.  Sound because stored monomials are nonzero and, at a
         common right depth, linearly independent.
         """
-        x._check_partner(y)
+        self._check_own(x)
+        self._check_own(y)
         if x.terms == y.terms:
             return True
         diff = dict(x.terms)
@@ -448,6 +449,7 @@ class CuntzKriegerAlgebra:
     def shift(self, x: CKElement, power: int = 1) -> CKElement:
         """The canonical shift map, sum over words eta of length ``power`` of
         S_eta x S_eta* (the identity map for power 0)."""
+        self._check_own(x)
         if power < 0:
             raise ValueError("power must be nonnegative")
         if power == 0:
@@ -468,6 +470,7 @@ class CuntzKriegerAlgebra:
     def block_embedding(self, m: int, x: CKElement) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
         to S_mu* x S_nu; a *-homomorphism into the block algebra."""
+        self._check_own(x)
         if m < 1:
             raise ValueError("block depth must be >= 1")
         cells = self._embedding_cells(m, x)
@@ -578,6 +581,7 @@ class CuntzKriegerAlgebra:
         NonZeroDegreeError or DepthExceededError when the element does not
         live in this picture.
         """
+        self._check_own(x)
         if depth < 1:
             raise ValueError("depth must be >= 1")
         for m in x.terms:
@@ -662,9 +666,14 @@ class BlockMatrix:
         return tuple(tuple(cells.get((r, c), zero) for c in range(w)) for r in range(w))
 
     def entry(self, row_word, col_word) -> CKElement:
-        r = self.index.index(tuple(row_word))
-        c = self.index.index(tuple(col_word))
-        return self._cells.get((r, c), self.algebra.zero)
+        """The cell of two admissible words of length ``depth``."""
+        spans, pos = self.algebra._spans(self.depth), []
+        for word in (row_word, col_word):
+            w = _check_word(word, self.algebra.n)
+            if len(w) != self.depth or w not in spans:
+                raise ValueError(f"{w} is not an admissible word of length {self.depth}")
+            pos.append(spans[w][0])
+        return self._cells.get(tuple(pos), self.algebra.zero)
 
     def __mul__(self, other):
         if not isinstance(other, BlockMatrix):

@@ -2,8 +2,11 @@
 
 Reads a matrix file (JSON ``{"n": ..., "rows": [[...], ...]}`` or plain
 text rows), runs entropy computations or symbolic verifications, and emits
-text, JSON or CSV.  Numeric JSON fields are decimal strings with 15
-significant digits so output is byte-stable across runs.
+text or JSON.  Numeric JSON fields are decimal strings with 15 significant
+digits so output is byte-stable across runs.  ``--format csv`` exists only
+for ``words`` and ``convergence``; every other subcommand exits 2 with one
+line under it.  Each subcommand is one row of the table in
+``build_parser``: its handler, help, CSV form and flags.
 
 Exit codes: 0 success, 1 verification mismatch, 2 operational error (bad
 input, I/O, exhausted recursion or memory, or an internal error), reported
@@ -46,21 +49,11 @@ def _emit_json(obj) -> None:
         sys.stdout.write(batch)
 
 
-def _warn(message: str) -> None:
-    sys.stderr.write(f"warning: {message}\n")
-
-
-def _reject_csv(args) -> None:
-    if args.format == "csv":
-        raise ValueError(f"the {args.command} command has no CSV form; use text or json")
-
-
 def _scale(base: str) -> float:
     return LOG2 if base == "bits" else 1.0
 
 
 def _cmd_validate(args) -> int:
-    _reject_csv(args)
     mat = load_matrix(args.matrix)
     info = {
         "n": mat.n,
@@ -77,14 +70,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    _reject_csv(args)
     mat = load_matrix(args.matrix)
     irreducible = is_irreducible(mat)
     warnings = [] if irreducible else ["matrix is not irreducible"]
     if is_permutation(mat):
         warnings.append("matrix is a permutation")
     for w in warnings:
-        _warn(w)
+        sys.stderr.write(f"warning: {w}\n")
     scale = _scale(args.base)
     k = args.k_max
     (last,) = _estimate_rows(mat, k, k_min=k)
@@ -131,7 +123,6 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_parry(args) -> int:
-    _reject_csv(args)
     mat = load_matrix(args.matrix)
     pd = parry_measure(mat, args.tol)
     scale = _scale(args.base)
@@ -157,7 +148,6 @@ def _cmd_parry(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    _reject_csv(args)
     dual = dual_matrix(load_int_matrix(args.matrix))
     edges, a_prime, s, t = dual.edge_labels, dual.a_prime.entries, dual.s_factor, dual.t_factor
     if args.format == "json":
@@ -220,35 +210,27 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
-def _finish_verification(args, report) -> int:
-    if report.ok:
-        if args.format == "json":
-            _emit_json(report.to_json_dict())
-        else:
-            print(f"all {report.cases} cases passed")
-        return 0
-    _emit_json(report.to_json_dict())
-    return 1
-
-
 def _cmd_verify_ck(args) -> int:
-    from .ck import CuntzKriegerAlgebra, verify_relations
-
-    mat = load_matrix(args.matrix)
-    alg = CuntzKriegerAlgebra(mat)
-    report = verify_relations(alg, inject_fault=args.inject_fault)
-    return _finish_verification(args, report)
+    return _verify(args, "verify_relations")
 
 
 def _cmd_verify_witnesses(args) -> int:
-    from .ck import CuntzKriegerAlgebra, verify_witness_decomposition
+    return _verify(args, "verify_witness_decomposition", args.n0, args.n)
 
-    mat = load_matrix(args.matrix)
-    alg = CuntzKriegerAlgebra(mat)
-    report = verify_witness_decomposition(
-        alg, args.n0, args.n, inject_fault=args.inject_fault
-    )
-    return _finish_verification(args, report)
+
+def _verify(args, verifier: str, *bounds) -> int:
+    """Run ``ck.<verifier>`` over the algebra of the matrix.  A pass prints
+    one line (the report under json) and returns 0; a mismatch prints the
+    report and returns 1."""
+    from . import ck  # only the verify commands load the algebra
+
+    alg = ck.CuntzKriegerAlgebra(load_matrix(args.matrix))
+    report = getattr(ck, verifier)(alg, *bounds, inject_fault=args.inject_fault)
+    if report.ok and args.format != "json":
+        print(f"all {report.cases} cases passed")
+    else:
+        _emit_json(report.to_json_dict())
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,74 +240,46 @@ def build_parser() -> argparse.ArgumentParser:
         "verification of its generator algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, tol=False, k_max=None, k_required=False, n0=None, nn=None,
-               base=False, fault=False):
+    # the flags a subcommand may take after --matrix and --format
+    tol = ("--tol", dict(type=float, default=1e-12, help="numeric tolerance (default 1e-12)"))
+    k_max = ("--k-max", dict(type=int, default=30, help="word length bound"))
+    k_required = ("--k-max", dict(type=int, required=True, help="word length bound"))
+    n0 = ("--n0", dict(type=int, default=2, help="generator word-length bound (default 2)"))
+    nn = ("--n", dict(type=int, default=2, help="shift power bound (default 2)"))
+    base = ("--base", dict(choices=("natural", "bits"), default="natural",
+                           help="logarithm base for entropies"))
+    fault = ("--inject-fault", dict(action="store_true", help=argparse.SUPPRESS))
+    # one row per subcommand: name, handler, help, whether it has a CSV
+    # form, and its flags in order; built on each call, so a handler
+    # patched into the module is the one that runs
+    commands = (
+        ("validate", _cmd_validate, "validate a transition matrix file", False, ()),
+        ("entropy", _cmd_entropy, "entropy by spectral radius, Markov measure, and word growth",
+         False, (tol, k_max, base)),
+        ("words", _cmd_words, "list the admissible words of a given length", True, (k_required,)),
+        ("parry", _cmd_parry, "maximal-entropy Markov measure", False, (tol, base)),
+        ("dual", _cmd_dual, "edge-matrix factorization of an integer matrix", False, ()),
+        ("convergence", _cmd_convergence, "word-growth estimator table", True, (k_max, n0, base)),
+        ("verify-ck", _cmd_verify_ck, "verify the generator relations exactly", False, (fault,)),
+        ("verify-lemma2", _cmd_verify_witnesses,
+         "verify the block-embedding witness decomposition exactly", False, (n0, nn, fault)),
+    )
+    for name, handler, help_text, csv, flags in commands:
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--matrix", required=True, help="path to the matrix file")
-        sp.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
-            help="output format (default text)",
-        )
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-12,
-                            help="numeric tolerance (default 1e-12)")
-        if k_max is not None or k_required:
-            sp.add_argument("--k-max", dest="k_max", type=int, default=k_max,
-                            required=k_required, help="word length bound")
-        if n0 is not None:
-            sp.add_argument("--n0", type=int, default=n0,
-                            help=f"generator word-length bound (default {n0})")
-        if nn is not None:
-            sp.add_argument("--n", type=int, default=nn,
-                            help=f"shift power bound (default {nn})")
-        if base:
-            sp.add_argument("--base", choices=("natural", "bits"),
-                            default="natural", help="logarithm base for entropies")
-        if fault:
-            sp.add_argument("--inject-fault", action="store_true",
-                            help=argparse.SUPPRESS)
-
-    sp = sub.add_parser("validate", help="validate a transition matrix file")
-    common(sp)
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("entropy", help="entropy by spectral radius, Markov "
-                        "measure, and word growth")
-    common(sp, tol=True, k_max=30, base=True)
-    sp.set_defaults(func=_cmd_entropy)
-
-    sp = sub.add_parser("words", help="list the admissible words of a given length")
-    common(sp, k_required=True)
-    sp.set_defaults(func=_cmd_words)
-
-    sp = sub.add_parser("parry", help="maximal-entropy Markov measure")
-    common(sp, tol=True, base=True)
-    sp.set_defaults(func=_cmd_parry)
-
-    sp = sub.add_parser("dual", help="edge-matrix factorization of an integer matrix")
-    common(sp)
-    sp.set_defaults(func=_cmd_dual)
-
-    sp = sub.add_parser("convergence", help="word-growth estimator table")
-    common(sp, k_max=30, n0=2, base=True)
-    sp.set_defaults(func=_cmd_convergence)
-
-    sp = sub.add_parser("verify-ck", help="verify the generator relations exactly")
-    common(sp, fault=True)
-    sp.set_defaults(func=_cmd_verify_ck)
-
-    sp = sub.add_parser("verify-lemma2", help="verify the block-embedding "
-                        "witness decomposition exactly")
-    common(sp, n0=2, nn=2, fault=True)
-    sp.set_defaults(func=_cmd_verify_witnesses)
-
+        sp.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                        help="output format (default text)")
+        for option, spec in flags:
+            sp.add_argument(option, **spec)
+        sp.set_defaults(func=handler, has_csv=csv)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.format == "csv" and not args.has_csv:
+            raise ValueError(f"the {args.command} command has no CSV form; use text or json")
         return args.func(args)
     except (OSError, ValueError, RecursionError) as exc:
         message = str(exc)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +12,17 @@ from ckshift import (
     InadmissibleWordError,
     Monomial,
     NonZeroDegreeError,
+    MatrixError,
+    NoConvergenceError,
     SymbolOutOfRangeError,
+    parry_measure,
+    partition_entropy,
+    spectral_radius,
     validate,
     verify_relations,
 )
+from ckshift import _perron
+from ckshift.matrix import parse_matrix
 
 from conftest import random_degree_zero, random_monomial, seeded
 
@@ -134,6 +142,23 @@ class TestMultiply:
     def test_cross_algebra_rejected(self, golden_alg, full2_alg):
         with pytest.raises(ValueError):
             golden_alg.p(1) * full2_alg.p(1)
+
+
+FOREIGN_USES = {
+    "shift": lambda alg, x: alg.shift(x, 1),
+    "block_embedding": lambda alg, x: alg.block_embedding(2, x),
+    "af_blocks": lambda alg, x: alg.af_blocks(x, 2),
+    "equal": lambda alg, x: alg.equal(x, x),
+}
+
+
+@pytest.mark.parametrize("use", FOREIGN_USES.values(), ids=list(FOREIGN_USES))
+def test_elements_of_another_algebra_rejected(golden_alg, full2_alg, use):
+    # S_22 S_22* is nonzero over full2; over golden its words are not
+    # admissible, and shifting it there would store S_122 S_122*
+    x = full2_alg.monomial((2, 2), (2, 2))
+    with pytest.raises(ValueError, match="^elements belong to different algebras$"):
+        use(golden_alg, x)
 
 
 class TestAdjoint:
@@ -285,6 +310,36 @@ class TestBlockEmbedding:
         bm = golden_alg.block_embedding(1, golden_alg.identity)
         assert golden_alg.equal(bm.entry((1,), (1,)), golden_alg.q(1))
 
+    def test_entry_finds_every_word_pair(self, random3_alg):
+        x = random3_alg.s((1, 2)) + random3_alg.p(3)
+        bm = random3_alg.block_embedding(2, x)
+        words = random3_alg.words(2)
+        for r, mu in enumerate(words):
+            for c, nu in enumerate(words):
+                assert bm.entry(list(mu), nu) == bm.entries[r][c]
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ((2, 2), "(2, 2) is not an admissible word of length 2"),
+            ((1,), "(1,) is not an admissible word of length 2"),
+            ((1, 2, 1), "(1, 2, 1) is not an admissible word of length 2"),
+            ((1, 3), "symbol 3 outside alphabet 1..2"),
+        ],
+        ids=["inadmissible", "short", "long", "symbol out of range"],
+    )
+    def test_entry_rejects_other_words(self, golden_alg, word, message):
+        bm = golden_alg.block_embedding(2, golden_alg.identity)
+        for row, col in ((word, (1, 2)), ((1, 2), word)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                bm.entry(row, col)
+
+    def test_equals_across_algebras_is_false(self, golden_alg, full2_alg):
+        # both embeddings are over the index ((1,), (2,))
+        assert golden_alg.words(1) == full2_alg.words(1)
+        lhs = golden_alg.block_embedding(1, golden_alg.identity)
+        assert not lhs.equals(full2_alg.block_embedding(1, full2_alg.identity))
+
 
 class TestAfBlocks:
     def test_projection_is_rank_one_unit(self, golden_alg):
@@ -356,3 +411,51 @@ class TestRelationSuite:
         }
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         assert text == (DATA / "verify_relations_golden_2_2_unequal.json").read_text()
+
+
+def _residual_over_tol(alg, monkeypatch):
+    monkeypatch.setattr(_perron, "residual", lambda *args: 1.0)
+    spectral_radius(alg.matrix)
+
+
+GUARDS = {
+    "shift power": (
+        lambda alg, mp: alg.shift(alg.p(1), -1), ValueError, "power must be nonnegative"
+    ),
+    "block depth": (
+        lambda alg, mp: alg.block_embedding(0, alg.p(1)), ValueError, "block depth must be >= 1"
+    ),
+    "af depth": (lambda alg, mp: alg.af_blocks(alg.p(1), 0), ValueError, "depth must be >= 1"),
+    "partition depth": (
+        lambda alg, mp: partition_entropy(parry_measure(alg.matrix), 0),
+        ValueError,
+        "partition depth must be >= 1",
+    ),
+    "block index": (
+        lambda alg, mp: alg.block_embedding(1, alg.p(1)) * alg.block_embedding(2, alg.p(1)),
+        ValueError,
+        "block matrices are not over the same index",
+    ),
+    "diagonal depth": (
+        lambda alg, mp: alg.af_blocks(alg.p(1), 1) * alg.af_blocks(alg.p(1), 2),
+        ValueError,
+        "block shapes differ",
+    ),
+    "malformed JSON": (
+        lambda alg, mp: parse_matrix('{"rows": [[1, 1], [1, 0]]'),
+        MatrixError,
+        "invalid JSON matrix file: ",
+    ),
+    "residual over tol": (
+        _residual_over_tol,
+        NoConvergenceError,
+        "Perron vector residual 1.000e+00 is more than tol 1.000e-12",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=list(GUARDS))
+def test_guard_rejects_invalid_argument(golden_alg, monkeypatch, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}") as err:
+        call(golden_alg, monkeypatch)
+    assert "\n" not in str(err.value)

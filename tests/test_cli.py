@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import json
 import math
@@ -293,11 +294,6 @@ class TestParry:
         assert code == 2
         assert "error:" in err
 
-    def test_csv_unsupported_exits_2(self, capsys, golden_file):
-        code, _, err = run(capsys, ["parry", "--matrix", golden_file, "--format", "csv"])
-        assert code == 2
-        assert "no CSV form" in err
-
 
 class TestDual:
     def test_json(self, capsys, int_file):
@@ -556,6 +552,65 @@ class TestExitContract:
         assert code == 2
         assert out == ""
         assert err == "error: internal error: KeyError: 'lost'\n"
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "entropy", "parry", "dual", "verify-ck", "verify-lemma2"]
+    )
+    def test_csv_unsupported_exits_2(self, capsys, golden_file, command):
+        code, out, err = run(capsys, [command, "--matrix", golden_file, "--format", "csv"])
+        assert (code, out) == (2, "")
+        assert err == f"error: the {command} command has no CSV form; use text or json\n"
+
+
+def _parser_surface(parser: argparse.ArgumentParser) -> dict:
+    """Every subcommand's help, handler name and argparse actions as plain
+    data; the actions, not the --help text, whose layout differs between
+    Python versions."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        "prog": parser.prog,
+        "description": parser.description,
+        "commands": {
+            name: {
+                "help": helps[name],
+                "handler": sp.get_default("func").__name__,
+                "arguments": [
+                    {
+                        "option_strings": a.option_strings,
+                        "dest": a.dest,
+                        "default": a.default,
+                        "required": a.required,
+                        "choices": None if a.choices is None else list(a.choices),
+                        "type": None if a.type is None else a.type.__name__,
+                        "nargs": a.nargs,
+                        "help": a.help,
+                    }
+                    for a in sp._actions
+                ],
+            }
+            for name, sp in sub.choices.items()
+        },
+    }
+
+
+PINNED_SURFACE = json.loads((DATA / "cli_arguments.json").read_text())
+
+
+def test_every_subcommand_argument_is_pinned():
+    assert _parser_surface(cli.build_parser()) == PINNED_SURFACE
+
+
+@pytest.mark.parametrize("command", list(PINNED_SURFACE["commands"]))
+def test_patched_handler_is_the_one_that_runs(capsys, monkeypatch, golden_file, command):
+    calls = []
+    handler = PINNED_SURFACE["commands"][command]["handler"]
+    monkeypatch.setattr(cli, handler, lambda args: calls.append(args.command) or 0)
+    argv = [command, "--matrix", golden_file]
+    if command == "words":
+        argv += ["--k-max", "1"]
+    assert run(capsys, argv) == (0, "", "")
+    assert calls == [command]
 
 
 def _contract_matrices():

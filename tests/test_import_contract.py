@@ -196,3 +196,23 @@ def test_star_import_binds_the_eager_names():
         "ck": True,
         "sft": True,
     }
+
+
+UNKNOWN_SCRIPT = r"""
+import json, sys
+
+import ckshift
+
+try:
+    ckshift.no_such_name
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({"error": error, "ck loaded": "ckshift.ck" in sys.modules}))
+"""
+
+
+def test_unknown_name_raises_without_loading_the_algebra():
+    assert _run_script(UNKNOWN_SCRIPT) == {
+        "error": "module 'ckshift' has no attribute 'no_such_name'",
+        "ck loaded": False,
+    }
