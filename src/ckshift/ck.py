@@ -653,6 +653,8 @@ class BlockMatrix:
     __slots__ = ("algebra", "depth", "index", "_cells")
 
     def __init__(self, algebra, depth, index, cells: dict):
+        if index != algebra.words(depth):
+            raise ValueError(f"a block matrix of depth {depth} is indexed by words({depth})")
         self.algebra = algebra
         self.depth = depth
         self.index = index

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ckshift import (
+    BlockMatrix,
     CuntzKriegerAlgebra,
     DepthExceededError,
     DepthTooSmallError,
@@ -333,6 +334,11 @@ class TestBlockEmbedding:
         for row, col in ((word, (1, 2)), ((1, 2), word)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 bm.entry(row, col)
+
+    def test_index_is_the_words_of_the_depth(self, golden_alg):
+        # entry looks words up in the algebra's table for words(depth)
+        with pytest.raises(ValueError, match=re.escape("is indexed by words(1)")):
+            BlockMatrix(golden_alg, 1, ((2,), (1,)), {})
 
     def test_equals_across_algebras_is_false(self, golden_alg, full2_alg):
         # both embeddings are over the index ((1,), (2,))
