@@ -31,7 +31,10 @@ Fractions.
 The block embedding is built term by term: the cell (mu, nu) of S_a S_b* is
 S_mu* S_a S_b* S_nu, two products of bare monomials, and a product of
 stored monomials checks only its new junction and the two termini, since
-the words it joins are admissible already.
+the words it joins are admissible already.  The rows and columns visited
+are those the prefix table holds under a word, so each product comes in
+one of three shapes, fixed before it is formed: the row (column) word
+extends the word it meets, equals it, or is its prefix.
 
 Words are found in one prefix table per length m, built once from the
 sorted tuple of admissible words of that length: the words with a given
@@ -227,6 +230,10 @@ class CuntzKriegerAlgebra:
         self._succ_mask = tuple(
             sum(1 << (j - 1) for j in row) for row in matrix.successors
         )
+        # the terms P_j of each support projection Q_i = sum_j A(i,j) P_j
+        self._q_terms = tuple(
+            tuple(Monomial((j,), (j,)) for j in row) for row in matrix.successors
+        )
         self._word_cache: dict[int, tuple[Word, ...]] = {0: ((),)}
         self._span_cache: dict[int, dict[Word, range]] = {}
         self.zero = CKElement(self, {})
@@ -274,7 +281,7 @@ class CuntzKriegerAlgebra:
             self._succ_mask[left[-1] - 1] & self._succ_mask[right[-1] - 1]
         ):
             return None
-        return Monomial(left, right)
+        return tuple.__new__(Monomial, (left, right))
 
     def _cat(self, u: Word, v: Word) -> Word | None:
         """The concatenation of admissible words, or None when the junction
@@ -325,9 +332,7 @@ class CuntzKriegerAlgebra:
     def q(self, i: int) -> CKElement:
         """Support projection S_i* S_i, expanded as sum_j A(i,j) P_j."""
         _check_word((i,), self.n)
-        return CKElement(
-            self, {Monomial((j,), (j,)): 1 for j in self._succ[i - 1]}
-        )
+        return CKElement(self, dict.fromkeys(self._q_terms[i - 1], 1))
 
     def generator(self, alpha, i: int, beta) -> CKElement:
         """S_alpha P_i S_beta*.
@@ -376,11 +381,11 @@ class CuntzKriegerAlgebra:
         if len(al) > len(nu) and al[: len(nu)] == nu:
             left = self._cat(mu, al[len(nu) :])
             if left is not None:
-                return (Monomial(left, be),)
+                return (tuple.__new__(Monomial, (left, be)),)
         elif len(nu) > len(al) and nu[: len(al)] == al:
             right = self._cat(be, nu[len(al) :])
             if right is not None:
-                return (Monomial(mu, right),)
+                return (tuple.__new__(Monomial, (mu, right)),)
         return ()
 
     def _multiply(self, x: CKElement, y: CKElement) -> CKElement:
@@ -397,11 +402,11 @@ class CuntzKriegerAlgebra:
     def _extend(self, mu: Word, nu: Word, symbols) -> list[Monomial]:
         """S_{mu j} S_{nu j}* for each j in ``symbols`` that may follow both
         mu and nu (an empty word allows every symbol)."""
-        rows = self._rows
+        rows, new = self._rows, tuple.__new__
         lrow = rows[mu[-1] - 1] if mu else None
         rrow = rows[nu[-1] - 1] if nu else None
         return [
-            Monomial(mu + (j,), nu + (j,))
+            new(Monomial, (mu + (j,), nu + (j,)))
             for j in symbols
             if (lrow is None or lrow[j - 1]) and (rrow is None or rrow[j - 1])
         ]
@@ -455,14 +460,15 @@ class CuntzKriegerAlgebra:
         if power == 0:
             return x
         # S_eta S_a S_b* S_eta* = S_{eta a} S_{eta b}*, zero when either
-        # junction is inadmissible; distinct (eta, a, b) give distinct words
-        cat, meet = self._cat, self._meet
+        # junction is inadmissible; distinct (eta, a, b) give distinct words,
+        # and a nonempty a or b keeps the terminus the stored term checked
+        rows, meet, new = self._rows, self._meet, tuple.__new__
         acc: dict[Monomial, numbers.Rational] = {}
         for eta in self.words(power):
+            row = rows[eta[-1] - 1]
             for (a, b), c in x.terms.items():
-                left, right = cat(eta, a), cat(eta, b)
-                if left is not None and right is not None:
-                    mono = meet(left, right)
+                if (not a or row[a[0] - 1]) and (not b or row[b[0] - 1]):
+                    mono = new(Monomial, (eta + a, eta + b)) if a and b else meet(eta + a, eta + b)
                     if mono is not None:
                         acc[mono] = c
         return CKElement(self, acc)
@@ -484,22 +490,61 @@ class CuntzKriegerAlgebra:
 
         Each term c S_a S_b* of x adds c S_mu* S_a S_b* S_nu to the cell
         (mu, nu), two products of bare monomials.  That is nonzero only when
-        mu is prefix-comparable with a, and nu with the right word of
-        S_mu* S_a S_b*, so only those rows and columns are visited.  The
-        maps are not normalized: a cell whose terms cancel keeps them, with
-        coefficient 0, or is left empty.
+        mu is prefix-comparable with a, and nu with the right word hr of the
+        half S_mu* S_a S_b* = S_hl S_hr*, so only the rows found under a[:m]
+        and the columns found under hr[:m] are visited.  The prefix table
+        thus fixes the shape of each product, and ``_pair_products`` is not
+        asked: a row (a column) extends a (hr), and the surplus goes to the
+        other word after one junction check; or it is that word, and the
+        support projection between them is absorbed or expanded over the
+        successors of its terminus; or it is a prefix of that word, which
+        keeps the rest.  The maps are not normalized: a cell whose terms
+        cancel keeps them, with coefficient 0, or is left empty.
         """
-        index = self.words(m)
-        spans, pair = self._spans(m), self._pair_products
-        empty = range(0)
+        index, spans, succ, rows = self.words(m), self._spans(m), self._succ, self._rows
+        new, empty = tuple.__new__, range(0)
         acc: dict[tuple[int, int], dict] = {}
-        for term, c in x.terms.items():
-            for r in spans.get(term.left[:m], empty):
-                for half in pair(((), index[r]), term):
-                    for col in spans.get(half.right[:m], empty):
-                        cell = acc.setdefault((r, col), {})
-                        for mono in pair(half, (index[col], ())):
+        for (a, b), c in x.terms.items():
+            # S_row* S_a S_b*, one half S_hl S_hr* per row (or per successor)
+            k = len(a)
+            if k > m:  # the row is a prefix of a
+                halves = [(r, a[m:], b) for r in spans.get(a[:m], empty)]
+            elif k == m:  # the row is a
+                r = spans[a][0]
+                if b and b[-1] == a[-1]:
+                    halves = [(r, (), b)]
+                else:
+                    halves = [(r, hl, hr) for hl, hr in self._extend((), b, succ[a[-1] - 1])]
+            else:  # the row extends a: one junction, from b to the surplus
+                brow = rows[b[-1] - 1] if b else None
+                halves = [
+                    (r, (), b + index[r][k:])
+                    for r in spans.get(a, empty)
+                    if brow is None or brow[index[r][k] - 1]
+                ]
+            # S_hl S_hr* S_col, in the same three shapes
+            for r, hl, hr in halves:
+                h, lrow = len(hr), rows[hl[-1] - 1] if hl else None
+                if h < m:  # the column extends hr: one junction, from hl to the surplus
+                    for col in spans.get(hr, empty):
+                        s = index[col][h:]
+                        if lrow is None or lrow[s[0] - 1]:
+                            mono = new(Monomial, (hl + s, ()))
+                            cell = acc.setdefault((r, col), {})
                             cell[mono] = cell.get(mono, 0) + c
+                    continue
+                col = spans[hr[:m]][0]
+                if h > m:  # the column is a prefix of hr
+                    monos = (new(Monomial, (hl, hr[m:])),)
+                elif hl and hl[-1] == hr[-1]:  # the column is hr
+                    monos = (new(Monomial, (hl, ())),)
+                elif hl:
+                    monos = self._extend(hl, (), succ[hr[-1] - 1])
+                else:
+                    monos = self._q_terms[hr[-1] - 1]
+                cell = acc.setdefault((r, col), {})
+                for mono in monos:
+                    cell[mono] = cell.get(mono, 0) + c
         return acc
 
     # -- witness blocks for the embedding identities -------------------------
@@ -559,14 +604,14 @@ class CuntzKriegerAlgebra:
             out = {j: set() for j in range(1, self.n + 1)}
             key = -1
         mids = _words_from(self._succ, m - l - len(a), (i,))
-        # a row word has length m, so its span is its one position, or empty
-        # when the word is inadmissible; the columns are the words that
+        # the rows eta a mid are the words that extend eta a i, one per mid
+        # and in the sorted order of mids; the columns are the words that
         # extend eta b mid by a tail mu
         for eta in self.words(l):
-            for mid in mids:
-                for row in spans.get(eta + a + mid, empty):
-                    for col in spans.get(eta + b + mid, empty):
-                        out[index[col][key]].add((row, col))
+            eb = eta + b
+            for row, mid in zip(spans.get(eta + a + (i,), empty), mids):
+                for col in spans.get(eb + mid, empty):
+                    out[index[col][key]].add((row, col))
         return out
 
     # -- finite-dimensional picture of the degree-zero part ------------------
@@ -910,7 +955,11 @@ def verify_witness_decomposition(
     for alpha in [w for k in range(n0 + 1) for w in alg.words(k)]:
         for beta in [w for k in range(len(alpha) + 1) for w in alg.words(k)]:
             for i in range(1, alg.n + 1):
-                gen = alg.generator(alpha, i, beta)
+                # alg.generator(alpha, i, beta) without its word checks: both
+                # words end at i, so they meet unless a junction fails
+                left, right = alg._cat(alpha, (i,)), alg._cat(beta, (i,))
+                gen = CKElement(alg, {} if left is None or right is None else
+                                {tuple.__new__(Monomial, (left, right)): 1})
                 for l in range(n):
                     # alpha and beta are admissible, |beta| <= |alpha| <= n0
                     # and l < n, so the case meets witness_blocks' checks
