@@ -10,7 +10,9 @@ line under it.  Each subcommand is one row of the table in
 
 Exit codes: 0 success, 1 verification mismatch, 2 operational error (bad
 input, I/O, exhausted recursion or memory, or an internal error), reported
-as one line on stderr.
+as one line on stderr.  A stdout that fails (a closed pipe, a full disk) is
+an I/O error: exit 2, the one line only where stderr can still take it, and
+the stream pointed at devnull, so that the flush at exit cannot fail again.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 from .matrix import (
@@ -33,7 +36,7 @@ from .matrix import (
 from .sft import (
     _estimate_rows,
     _fmt,
-    entropy_estimates,
+    _log_radius,
     enumerate_words,
     markov_entropy,
     parry_measure,
@@ -47,6 +50,26 @@ def _emit_json(obj) -> None:
     chunks = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj), "\n")
     for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
         sys.stdout.write(batch)
+
+
+def _emit_json_rows(obj: dict) -> None:
+    """``_emit_json`` for a dict whose values are ints or lists of rows: the
+    same bytes, with each distinct row encoded once and its text reused."""
+    texts: dict[tuple, str] = {}
+    write = sys.stdout.write
+    for n, key in enumerate(sorted(obj)):
+        write(("," if n else "{") + "\n  " + json.dumps(key) + ": ")
+        value = obj[key]
+        if isinstance(value, int) or not value:
+            write(json.dumps(value))
+            continue
+        for r, row in enumerate(value):
+            text = texts.get(row)
+            if text is None:
+                text = texts[row] = json.dumps(row, indent=2).replace("\n", "\n    ")
+            write(("," if r else "[") + "\n    " + text)
+        write("\n  ]")
+    write("\n}\n")
 
 
 def _scale(base: str) -> float:
@@ -151,7 +174,9 @@ def _cmd_dual(args) -> int:
     dual = dual_matrix(load_int_matrix(args.matrix))
     edges, a_prime, s, t = dual.edge_labels, dual.a_prime.entries, dual.s_factor, dual.t_factor
     if args.format == "json":
-        _emit_json({"edge_count": len(edges), "edges": edges, "a_prime": a_prime, "s": s, "t": t})
+        # edges into one state share their rows of A' and T: encode each
+        # distinct row once
+        _emit_json_rows({"edge_count": len(edges), "edges": edges, "a_prime": a_prime, "s": s, "t": t})
     else:
         print(f"edge alphabet size {len(edges)}")
         print("edges (source, target, copy): " + " ".join(map(str, edges)))
@@ -171,21 +196,27 @@ def _cmd_dual(args) -> int:
 
 def _cmd_convergence(args) -> int:
     mat = load_matrix(args.matrix)
-    scale = _scale(args.base)
-    report = entropy_estimates(mat, args.k_max)
-    # w(k + n0) for k = 1..k_max
-    counts = _word_counts(mat, args.k_max + args.n0, 1 + args.n0)
-    witness = [math.log(wn) / row.k / scale for row, wn in zip(report.rows, counts)]
-    target = None if report.target is None else report.target / scale
+    scale, k_max, n0 = _scale(args.base), args.k_max, args.n0
+    # the estimators take w(1..k_max + 1) and the witness column w(k + n0)
+    # for k = 1..k_max: one count where the two ranges meet, else the
+    # witness column from a deep start of its own
+    if 0 <= n0 <= k_max:
+        counts = _word_counts(mat, k_max + max(n0, 1))
+        estimates, shifted = _estimate_rows(mat, k_max, counts=counts), counts[n0:]
+    else:
+        estimates = _estimate_rows(mat, k_max)
+        shifted = _word_counts(mat, k_max + n0, 1 + n0)
+    target = _log_radius(mat)
+    target = None if target is None else target / scale
     rows = [
         {
             "k": row.k,
             "w_k": _fmt_count(row.count),
             "eq3": _fmt(row.growth / scale),
             "ratio": _fmt(row.ratio / scale),
-            "witness": _fmt(wit),
+            "witness": _fmt(math.log(wn) / row.k / scale),
         }
-        for row, wit in zip(report.rows, witness)
+        for row, wn in zip(estimates, shifted)
     ]
     if args.format == "json":
         _emit_json(
@@ -275,19 +306,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settle(stream) -> None:
+    """Flush ``stream``; when it cannot take what is left in its buffer (a
+    closed pipe, a full disk), point its descriptor at devnull instead, so
+    that the flush at exit does not fail a second time and set the exit
+    code.  This follows the note on SIGPIPE in the ``signal`` module docs."""
+    try:
+        stream.flush()
+    except OSError:
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # a stream without a descriptor
+            pass
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.format == "csv" and not args.has_csv:
             raise ValueError(f"the {args.command} command has no CSV form; use text or json")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except (OSError, ValueError, RecursionError) as exc:
         message = str(exc)
+        if isinstance(exc, OSError):
+            _settle(sys.stdout)
     except MemoryError:
         message = "out of memory"
     except Exception as exc:
         message = f"internal error: {type(exc).__name__}: {exc}"
-    sys.stderr.write(f"error: {message}\n")
+    try:  # stderr may be the closed pipe too
+        sys.stderr.write(f"error: {message}\n")
+    except OSError:
+        _settle(sys.stderr)
     return 2
 
 

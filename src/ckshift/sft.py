@@ -268,20 +268,28 @@ def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:
     matrices.  Counts are exact integers, printed in full by ``to_csv`` and
     ``to_json_dict``, so arbitrarily large k is safe.
     """
-    rows = _estimate_rows(mat, k_max)
+    return ConvergenceReport(rows=_estimate_rows(mat, k_max), target=_log_radius(mat))
+
+
+def _log_radius(mat: TransitionMatrix) -> float | None:
+    """log r(A), the target of the estimators; None when A is not
+    irreducible."""
     try:
-        target = math.log(spectral_radius(mat).radius)
+        return math.log(spectral_radius(mat).radius)
     except NotIrreducibleError:
-        target = None
-    return ConvergenceReport(rows=rows, target=target)
+        return None
 
 
-def _estimate_rows(mat: TransitionMatrix, k_max: int, k_min=1) -> tuple[ConvergenceRow, ...]:
+def _estimate_rows(
+    mat: TransitionMatrix, k_max: int, k_min=1, counts=None
+) -> tuple[ConvergenceRow, ...]:
     """The rows k_min..k_max of ``entropy_estimates``, without its target,
-    from the counts w(k_min), ..., w(k_max + 1) alone."""
+    from the counts w(k_min), ..., w(k_max + 1) alone: ``counts`` when the
+    caller has them (a longer list is cut), else counted here."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    counts = _word_counts(mat, k_max + 1, k_min)
+    if counts is None:
+        counts = _word_counts(mat, k_max + 1, k_min)
     return tuple(
         ConvergenceRow(k, wk, math.log(wk) / k, math.log(wk1) - math.log(wk))
         for k, wk, wk1 in zip(range(k_min, k_max + 1), counts, counts[1:])

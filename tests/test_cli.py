@@ -3,6 +3,7 @@ import decimal
 import json
 import math
 import itertools
+import os
 import subprocess
 import sys
 import time
@@ -340,6 +341,31 @@ class TestDual:
         assert (code, err) == (0, "")
         assert out.encode() == (DATA / f"dual_parallel4.{fmt}.out").read_bytes()
 
+    @pytest.mark.parametrize("name", ["parallel4", "golden"])
+    def test_json_encodes_each_distinct_row_once(self, capsys, monkeypatch, name):
+        # the edges into one state share their rows of A' and T, and the
+        # rows of A' are rows of S: each distinct row is encoded once, and
+        # the bytes are those of the encoder run over the whole dict
+        path = str(DATA / f"{name}.txt")
+        dual = matrix.dual_matrix(matrix.load_int_matrix(path))
+        payload = {"edge_count": len(dual.edge_labels), "edges": dual.edge_labels,
+                   "a_prime": dual.a_prime.entries, "s": dual.s_factor, "t": dual.t_factor}
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        rows = [row for key in ("edges", "a_prime", "s", "t") for row in payload[key]]
+        encoded = []
+        dumps = json.dumps
+
+        def counted(obj, **kwargs):
+            if isinstance(obj, tuple):
+                encoded.append(obj)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        code, out, err = run(capsys, ["dual", "--matrix", path, "--format", "json"])
+        assert (code, out, err) == (0, want, "")
+        assert len(rows) > len(set(rows))
+        assert sorted(encoded) == sorted(set(rows))
+
 
 class TestConvergence:
     def test_counts_past_the_int_str_limit(self, capsys):
@@ -404,6 +430,33 @@ class TestConvergence:
         rows = json.loads(out)["rows"]
         assert [r["k"] for r in rows] == list(range(1, 13))
         for r in rows:
+            assert r["witness"] == _fmt(math.log(word_count(mat, r["k"] + n0)) / r["k"])
+
+    @pytest.mark.parametrize("n0,calls", [(None, 1), (0, 1), (12, 1), (13, 2), (100_000, 2)])
+    def test_words_counted_once_where_the_ranges_meet(self, capsys, monkeypatch, n0, calls):
+        # the estimators take w(1..k_max + 1) and the witness column
+        # w(1 + n0..k_max + n0): one count covers both where they meet (the
+        # default --n0 2 among them); past k_max the witness column starts
+        # deep on its own
+        seen = []
+        real = matrix._word_counts
+
+        def counted(*args):
+            seen.append(args[1:])
+            return real(*args)
+
+        for module in (matrix, sft, cli):
+            monkeypatch.setattr(module, "_word_counts", counted)
+        argv = ["convergence", "--matrix", str(DATA / "random3.txt"), "--k-max", "12"]
+        if n0 is not None:
+            argv += ["--n0", str(n0)]
+        code, out, err = run(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (0, "")
+        assert len(seen) == calls, seen
+        n0 = 2 if n0 is None else n0
+        mat = load_matrix(str(DATA / "random3.txt"))
+        for r in json.loads(out)["rows"]:
+            assert r["w_k"] == str(word_count(mat, r["k"]))
             assert r["witness"] == _fmt(math.log(word_count(mat, r["k"] + n0)) / r["k"])
 
     def test_deep_n0_witness_matches_oracle(self, capsys):
@@ -560,6 +613,79 @@ class TestExitContract:
         code, out, err = run(capsys, [command, "--matrix", golden_file, "--format", "csv"])
         assert (code, out) == (2, "")
         assert err == f"error: the {command} command has no CSV form; use text or json\n"
+
+
+def _quiet_env():
+    """The environment for a child run, with stdout block-buffered as it is
+    by default on a pipe."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _closed_pipe_run(argv, stderr_too):
+    """Run ``argv`` in a child whose stdout is a pipe with its read end
+    already closed; stderr goes to the same pipe, or is captured."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            argv, stdout=write_end, stderr=write_end if stderr_too else subprocess.PIPE,
+            env=_quiet_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, (proc.stderr or b"").decode()
+
+
+@pytest.mark.parametrize("stderr_too", [False, True], ids=["stderr_apart", "stderr_same"])
+@pytest.mark.parametrize("args", [["validate"], ["words", "--k-max", "14"]], ids=" ".join)
+def test_closed_stdout_exits_2(args, stderr_too):
+    # 2, and one error line where stderr is open: the flush at exit, which
+    # would exit 120 (or 1) once the error line had failed too, finds
+    # stdout pointed at devnull
+    argv = [sys.executable, "-m", "ckshift", *args, "--matrix", str(DATA / "golden.txt")]
+    code, err = _closed_pipe_run(argv, stderr_too)
+    assert code == 2
+    assert err == ("" if stderr_too else "error: [Errno 32] Broken pipe\n")
+
+
+# a child that runs ``cli.main`` with the write of number ``stop`` to
+# stdout raising OSError; the writes before it reach the real stdout
+FAILING_WRITE = """
+import errno, sys
+from ckshift import cli
+stop, seen, real = int(sys.argv[1]), [], sys.stdout.write
+def write(text):
+    seen.append(text)
+    if len(seen) == stop:
+        raise OSError(errno.EIO, "Input/output error")
+    return real(text)
+sys.stdout.write = write
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+SUBCOMMAND_RUNS = [
+    ["validate"], ["entropy"], ["words", "--k-max", "3"], ["parry"], ["dual"],
+    ["convergence", "--k-max", "4"], ["verify-ck"],
+    ["verify-lemma2", "--n0", "1", "--n", "1"],
+]
+
+
+@pytest.mark.parametrize("args", SUBCOMMAND_RUNS, ids=" ".join)
+def test_failing_stdout_write_exits_2_with_one_line(capsys, monkeypatch, args):
+    argv = [*args, "--matrix", str(DATA / "golden.txt")]
+    writes = []
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.stdout, "write", writes.append)
+        assert main(argv) == 0
+    capsys.readouterr()
+    # the first, a middle and the last write fail, into a stdout that is
+    # also closed: what the writes before it left in the buffer must not
+    # fail the flush at exit
+    for stop in sorted({1, (len(writes) + 1) // 2, len(writes)}):
+        code, err = _closed_pipe_run([sys.executable, "-c", FAILING_WRITE, str(stop), *argv], False)
+        assert (code, err) == (2, "error: [Errno 5] Input/output error\n"), stop
 
 
 def _parser_surface(parser: argparse.ArgumentParser) -> dict:

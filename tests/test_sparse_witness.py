@@ -29,8 +29,10 @@ from conftest import (
     PERM2_ROWS,
     RANDOM3_ROWS,
     random_degree_zero,
+    random_admissible_word,
     random_irreducible,
     random_monomial,
+    random_word_ending_at,
     seeded,
     sparse_irreducible,
 )
@@ -149,6 +151,57 @@ def test_block_embedding_matches_dense_oracle(algebras):
                 got = alg.block_embedding(m, x)
                 assert got.index == alg.words(m)
                 assert got.entries == dense_block_embedding(alg, m, x)
+
+
+def _shape_elements(alg, m, rng):
+    """Elements whose terms S_a S_b* meet every shape of the embedding's
+    two products at depth m, with Fraction coefficients: a and b each
+    shorter than m, of length m and longer than m; a of length m with b
+    ending at a's terminus, elsewhere, or empty; and sums whose terms cancel
+    in the cells, zero in the algebra but not as stored terms."""
+    mat = alg.matrix
+
+    def coeff():
+        return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randrange(1, 4))
+
+    out = []
+    for k, j in itertools.product(range(m + 3), repeat=2):
+        left = random_admissible_word(mat, rng, k)
+        right = random_admissible_word(mat, rng, j)
+        out.append(alg.monomial(left, right, coeff()) + random_monomial(alg, rng, m + 2))
+    for t in range(1, alg.n + 1):
+        a = random_word_ending_at(mat, rng, m, t)
+        for u in range(1, alg.n + 1):
+            for j in (1, m, m + 1):
+                out.append(alg.monomial(a, random_word_ending_at(mat, rng, j, u), coeff()))
+        out.append(alg.monomial(a, (), coeff()))
+    vanishing = -alg.identity
+    for j in range(1, alg.n + 1):
+        vanishing = vanishing + alg.p(j)
+    out.append(vanishing)
+    for x in out[: 2 * (m + 3)]:
+        depth = max(len(b) for _, b in x.terms) + 1
+        out.append(x - CKElement(alg, alg._refine_terms(x.terms, depth)))
+    return [x for x in out if not x.is_zero]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_block_embedding_in_every_product_shape_matches_dense_oracle(algebras, m):
+    # the same stored terms in every cell as the dense products give
+    rng = seeded(1606 + m)
+    for name, alg in algebras.items():
+        elements = _shape_elements(alg, m, rng)
+        terms = [(mono, c) for x in elements for mono, c in x.terms.items()]
+        assert any(len(a) > m for (a, _), _ in terms)
+        assert any(len(b) > m for (_, b), _ in terms)
+        assert any(len(a) == m and b and b[-1] == a[-1] for (a, b), _ in terms)
+        assert any(len(a) == m and b and b[-1] != a[-1] for (a, b), _ in terms) or alg.n == 1
+        assert any(len(a) == m and not b for (a, b), _ in terms)
+        assert any(type(c) is Fraction for _, c in terms)
+        assert any(x.terms and alg.equal(x, alg.zero) for x in elements)
+        for x in elements:
+            got = alg.block_embedding(m, x)
+            assert got.entries == dense_block_embedding(alg, m, x), (name, x)
 
 
 def test_embedding_cells_are_the_nonzero_entries(algebras):
