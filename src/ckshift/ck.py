@@ -56,7 +56,6 @@ from .sft import (
     Word,
     _admissible,
     _check_word,
-    _words_from,
     enumerate_words,
 )
 
@@ -603,14 +602,16 @@ class CuntzKriegerAlgebra:
         else:
             out = {j: set() for j in range(1, self.n + 1)}
             key = -1
-        mids = _words_from(self._succ, m - l - len(a), (i,))
-        # the rows eta a mid are the words that extend eta a i, one per mid
-        # and in the sorted order of mids; the columns are the words that
-        # extend eta b mid by a tail mu
+        # the rows eta a mid are the words of length m that extend eta a i,
+        # and the words eta b mid, of length m - |a| + |b|, those that
+        # extend eta b i, both in the sorted order of mid; the columns are
+        # the words of length m that extend eta b mid
+        depth = m - len(a) + len(b)
+        heads, head_spans = self.words(depth), self._spans(depth)
         for eta in self.words(l):
-            eb = eta + b
-            for row, mid in zip(spans.get(eta + a + (i,), empty), mids):
-                for col in spans.get(eb + mid, empty):
+            rows = spans.get(eta + a + (i,), empty)
+            for row, p in zip(rows, head_spans.get(eta + b + (i,), empty)):
+                for col in spans[heads[p]]:
                     out[index[col][key]].add((row, col))
         return out
 
