@@ -45,11 +45,16 @@ from .sft import (
 LOG2 = math.log(2.0)
 
 
-def _emit_json(obj) -> None:
-    # streamed, but in batches of chunks: stdout may be unbuffered
-    chunks = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj), "\n")
+def _emit(chunks) -> None:
+    """Write an iterable of non-empty strings to stdout, streamed, but in
+    batches of 4096 chunks: stdout may be unbuffered."""
+    chunks = iter(chunks)
     for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
         sys.stdout.write(batch)
+
+
+def _emit_json(obj) -> None:
+    _emit(itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj), "\n"))
 
 
 def _emit_json_rows(obj: dict) -> None:
@@ -136,12 +141,9 @@ def _cmd_words(args) -> int:
     words = enumerate_words(mat, args.k_max)
     if args.format == "json":
         _emit_json({"k": args.k_max, "count": len(words), "words": [list(w) for w in words]})
-    elif args.format == "csv":
-        for w in words:
-            print(",".join(map(str, w)))
     else:
-        for w in words:
-            print(" ".join(map(str, w)))
+        sep = "," if args.format == "csv" else " "
+        _emit(sep.join(map(str, w)) + "\n" for w in words)
     return 0
 
 

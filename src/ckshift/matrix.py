@@ -51,7 +51,6 @@ __all__ = [
     "spectral_radius",
     "dual_matrix",
     "witness_dimension",
-    "parse_matrix",
     "load_matrix",
     "load_int_matrix",
 ]
@@ -659,7 +658,7 @@ def parse_matrix(text: str) -> list[list[int]]:
     if body.startswith("{"):
         try:
             obj = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise MatrixError(f"invalid JSON matrix file: {exc}") from exc
         if "rows" not in obj:
             raise MatrixError('JSON matrix file must contain a "rows" key')

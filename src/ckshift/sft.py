@@ -23,7 +23,6 @@ from .matrix import (
 )
 
 __all__ = [
-    "Word",
     "WORD_CAP",
     "SymbolOutOfRangeError",
     "TooManyWordsError",
@@ -83,24 +82,18 @@ def enumerate_words(mat: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list[
 
     Raises TooManyWordsError when the count (known exactly in advance from
     ``word_count``) would exceed ``cap``.
+
+    Built one length at a time: extending a sorted list word by word, each
+    through its ascending successor list, keeps it sorted.  No recursion, so
+    k is not bounded by the interpreter's recursion limit.
     """
     if k < 1:
         raise ValueError("word length must be >= 1")
     count = word_count(mat, k)
     if count > cap:
         raise TooManyWordsError(count, cap)
-    return _words_from(mat.successors, k, range(1, mat.n + 1))
-
-
-def _words_from(successors, k: int, starts) -> list[Word]:
-    """The admissible words of length k >= 1 whose first symbol is in
-    ``starts``, lexicographically sorted when ``starts`` is ascending.
-
-    Built one length at a time: extending a sorted list word by word, each
-    through its ascending successor list, keeps it sorted.  No recursion, so
-    k is not bounded by the interpreter's recursion limit.
-    """
-    level = [(s,) for s in starts]
+    successors = mat.successors
+    level = [(s,) for s in range(1, mat.n + 1)]
     for _ in range(k - 1):
         level = [w + (j,) for w in level for j in successors[w[-1] - 1]]
     return level

@@ -1,5 +1,6 @@
 import argparse
 import decimal
+import hashlib
 import json
 import math
 import itertools
@@ -130,6 +131,26 @@ class TestValidate:
         assert '"rows" must be a list of lists' in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"rows": [[1, 1], [1, 0]]',
+            pytest.param(
+                '{"rows": [[1' + "0" * 5000 + "]]}",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit"
+                ),
+                id="past-the-int-str-limit",
+            ),
+        ],
+    )
+    def test_undecodable_json_exits_2(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        code, out, err = run(capsys, ["validate", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON matrix file: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("n", ['"2"', "2.0", "true", "null", "[2]"])
     def test_json_non_integer_n_exits_2(self, capsys, tmp_path, n):
         # "2" used to read as a row-count mismatch: "declares n=2 but has 2 rows"
@@ -258,6 +279,22 @@ class TestWords:
         payload = json.loads(out)
         assert payload["count"] == 5
         assert payload["words"][0] == [1, 1, 1]
+
+    @pytest.mark.parametrize("fmt, sha256", [
+        ("text", "e56d6b08cb7354bbd609dda0c1107d841efdbd648221c8f1f967a921db8df4f3"),
+        ("csv", "72e432d1f9c4cb00f20db2f0c850ad732a46bf26953805895e26422813e43f47"),
+    ], ids=["text", "csv"])
+    def test_text_and_csv_in_batched_writes(self, monkeypatch, golden_file, fmt, sha256):
+        # the bytes of one print per word, in one write per 4096 lines (each
+        # write is a system call when stdout is unbuffered), so here in one
+        writes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sys.stdout, "write", writes.append)
+            assert main(["words", "--matrix", golden_file, "--k-max", "16", "--format", fmt]) == 0
+        out = "".join(writes)
+        assert out.count("\n") == 2584
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        assert len(writes) == 1
 
     def test_missing_length_is_usage_error(self, golden_file):
         with pytest.raises(SystemExit) as exc:

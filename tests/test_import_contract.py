@@ -216,3 +216,31 @@ def test_unknown_name_raises_without_loading_the_algebra():
         "error": "module 'ckshift' has no attribute 'no_such_name'",
         "ck loaded": False,
     }
+
+
+def test_the_ck_name_table_is_ck_all():
+    import ckshift
+    import ckshift.ck
+
+    assert list(ckshift._CK_NAMES) == ckshift.ck.__all__
+
+
+EAGER_SCRIPT = r"""
+import json, sys
+
+import ckshift
+
+loaded = {"ckshift.ck": "ckshift.ck" in sys.modules, "numpy": "numpy" in sys.modules}
+public = [(m, name) for m in (ckshift.matrix, ckshift.sft) for name in m.__all__]
+print(json.dumps({
+    "loaded": loaded,
+    "public": sorted(name for m, name in public),
+    "bound": sorted(name for m, name in public if vars(ckshift).get(name) is getattr(m, name)),
+}))
+"""
+
+
+def test_import_binds_the_matrix_and_sft_names_without_the_algebra():
+    report = _run_script(EAGER_SCRIPT)
+    assert report["loaded"] == {"ckshift.ck": False, "numpy": False}
+    assert report["bound"] == report["public"]
