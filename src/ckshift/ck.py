@@ -267,12 +267,6 @@ class CuntzKriegerAlgebra:
             }
         return spans
 
-    def _mono(self, left: Word, right: Word) -> Monomial | None:
-        """Monomial under the construction-time zero identification, or None."""
-        if not _admissible(self._rows, left) or not _admissible(self._rows, right):
-            return None
-        return self._meet(left, right)
-
     def _meet(self, left: Word, right: Word) -> Monomial | None:
         """S_left S_right* for admissible words, or None when their termini
         have no common successor."""
@@ -304,18 +298,18 @@ class CuntzKriegerAlgebra:
         """
         acc: dict[Monomial, numbers.Rational] = {}
         for (left, right), c in terms.items():
-            m = self._mono(_check_word(left, self.n), _check_word(right, self.n))
-            if m is not None:
-                acc[m] = acc.get(m, 0) + _coeff(c)
+            left, right = _check_word(left, self.n), _check_word(right, self.n)
+            if _admissible(self._rows, left) and _admissible(self._rows, right):
+                m = self._meet(left, right)
+                if m is not None:
+                    acc[m] = acc.get(m, 0) + _coeff(c)
         return CKElement(self, acc)
 
     def monomial(self, left, right, coeff=1) -> CKElement:
         """coeff * S_left S_right*; the zero element when the monomial
         vanishes in the algebra."""
-        m = self._mono(_check_word(left, self.n), _check_word(right, self.n))
-        if m is None:
-            return self.zero
-        return CKElement(self, {m: _coeff(coeff)})
+        # checked here too, so that a bad left word fails before any right one
+        return self.element({(_check_word(left, self.n), _check_word(right, self.n)): coeff})
 
     def s(self, word) -> CKElement:
         """S_word (the identity for the empty word, zero if inadmissible)."""
@@ -339,8 +333,16 @@ class CuntzKriegerAlgebra:
         Raises InadmissibleWordError when alpha or beta is inadmissible;
         returns the zero element when an adjacency factor vanishes.
         """
-        a, b = self._generator_words(alpha, i, beta)
-        return self.monomial(a + (i,), b + (i,))
+        return self._generator(*self._generator_words(alpha, i, beta), i)
+
+    def _generator(self, a: Word, b: Word, i: int) -> CKElement:
+        """S_a P_i S_b* for admissible words a and b: zero when a junction
+        into i fails, or when i has no successor (a zero row, which
+        ``validate`` rejects); otherwise both words end at i, so they meet."""
+        left, right = self._cat(a, (i,)), self._cat(b, (i,))
+        if left is None or right is None or not self._succ[i - 1]:
+            return self.zero
+        return CKElement(self, {tuple.__new__(Monomial, (left, right)): 1})
 
     def _generator_words(self, alpha, i: int, beta) -> tuple[Word, Word]:
         """alpha and beta as words, checked for S_alpha P_i S_beta*: every
@@ -435,13 +437,9 @@ class CuntzKriegerAlgebra:
         self._check_own(y)
         if x.terms == y.terms:
             return True
-        diff = dict(x.terms)
-        for m, c in y.terms.items():
-            diff[m] = diff.get(m, 0) - c
         sectors: dict[int, dict] = {}
-        for m, c in diff.items():
-            if c:
-                sectors.setdefault(m.degree, {})[m] = c
+        for m, c in (x - y).terms.items():
+            sectors.setdefault(m.degree, {})[m] = c
         for sector in sectors.values():
             depth = max(len(m.right) for m in sector)
             if self._refine_terms(sector, depth):
@@ -492,12 +490,11 @@ class CuntzKriegerAlgebra:
         mu is prefix-comparable with a, and nu with the right word hr of the
         half S_mu* S_a S_b* = S_hl S_hr*, so only the rows found under a[:m]
         and the columns found under hr[:m] are visited.  The prefix table
-        thus fixes the shape of each product, and ``_pair_products`` is not
-        asked: a row (a column) extends a (hr), and the surplus goes to the
-        other word after one junction check; or it is that word, and the
-        support projection between them is absorbed or expanded over the
-        successors of its terminus; or it is a prefix of that word, which
-        keeps the rest.  The maps are not normalized: a cell whose terms
+        thus fixes the shape of each product: a row (a column) extends a
+        (hr), and the surplus goes to the other word after one junction
+        check; or it is that word, and the support projection between them
+        is absorbed or expanded over the successors of its terminus; or it
+        is a prefix of that word, which keeps the rest.  The maps are not normalized: a cell whose terms
         cancel keeps them, with coefficient 0, or is left empty.
         """
         index, spans, succ, rows = self.words(m), self._spans(m), self._succ, self._rows
@@ -951,16 +948,14 @@ def verify_witness_decomposition(
     report = VerificationReport(0, 0, params={"n0": n0, "n": n, "m": m})
     injected = False
     # S_mu for a block keyed by a word, Q_j for one keyed by a symbol
-    pieces: dict = {}
+    pieces: dict = {mu: alg.s(mu) for k in range(1, n0 + 1) for mu in alg.words(k)}
+    pieces.update((j, alg.q(j)) for j in range(1, alg.n + 1))
 
     for alpha in [w for k in range(n0 + 1) for w in alg.words(k)]:
         for beta in [w for k in range(len(alpha) + 1) for w in alg.words(k)]:
             for i in range(1, alg.n + 1):
-                # alg.generator(alpha, i, beta) without its word checks: both
-                # words end at i, so they meet unless a junction fails
-                left, right = alg._cat(alpha, (i,)), alg._cat(beta, (i,))
-                gen = CKElement(alg, {} if left is None or right is None else
-                                {tuple.__new__(Monomial, (left, right)): 1})
+                # both words come from alg.words, so they are admissible
+                gen = alg._generator(alpha, beta, i)
                 for l in range(n):
                     # alpha and beta are admissible, |beta| <= |alpha| <= n0
                     # and l < n, so the case meets witness_blocks' checks
@@ -974,11 +969,7 @@ def verify_witness_decomposition(
                     lhs = alg._embedding_cells(m, alg.shift(gen, l))
                     rhs: dict[tuple[int, int], dict] = {}
                     for key, units in blocks.items():
-                        piece = pieces.get(key)
-                        if piece is None:
-                            piece = pieces[key] = (
-                                alg.s(key) if isinstance(key, tuple) else alg.q(key)
-                            )
+                        piece = pieces[key]
                         # a cell that one unit covers shares the piece's
                         # terms; neither side's maps are written to below
                         for cell in units:

@@ -25,7 +25,6 @@ import os
 import sys
 
 from .matrix import (
-    _fmt_count,
     _word_counts,
     dual_matrix,
     is_irreducible,
@@ -37,6 +36,7 @@ from .sft import (
     _estimate_rows,
     _fmt,
     _log_radius,
+    _row_fields,
     enumerate_words,
     markov_entropy,
     parry_measure,
@@ -140,7 +140,7 @@ def _cmd_words(args) -> int:
     mat = load_matrix(args.matrix)
     words = enumerate_words(mat, args.k_max)
     if args.format == "json":
-        _emit_json({"k": args.k_max, "count": len(words), "words": [list(w) for w in words]})
+        _emit_json({"k": args.k_max, "count": len(words), "words": words})
     else:
         sep = "," if args.format == "csv" else " "
         _emit(sep.join(map(str, w)) + "\n" for w in words)
@@ -199,10 +199,12 @@ def _cmd_dual(args) -> int:
 def _cmd_convergence(args) -> int:
     mat = load_matrix(args.matrix)
     scale, k_max, n0 = _scale(args.base), args.k_max, args.n0
+    if n0 < 0:
+        raise ValueError("n0 must be >= 0")
     # the estimators take w(1..k_max + 1) and the witness column w(k + n0)
     # for k = 1..k_max: one count where the two ranges meet, else the
     # witness column from a deep start of its own
-    if 0 <= n0 <= k_max:
+    if n0 <= k_max:
         counts = _word_counts(mat, k_max + max(n0, 1))
         estimates, shifted = _estimate_rows(mat, k_max, counts=counts), counts[n0:]
     else:
@@ -211,13 +213,7 @@ def _cmd_convergence(args) -> int:
     target = _log_radius(mat)
     target = None if target is None else target / scale
     rows = [
-        {
-            "k": row.k,
-            "w_k": _fmt_count(row.count),
-            "eq3": _fmt(row.growth / scale),
-            "ratio": _fmt(row.ratio / scale),
-            "witness": _fmt(math.log(wn) / row.k / scale),
-        }
+        dict(_row_fields(row, scale), witness=_fmt(math.log(wn) / row.k / scale))
         for row, wn in zip(estimates, shifted)
     ]
     if args.format == "json":
@@ -232,7 +228,7 @@ def _cmd_convergence(args) -> int:
     elif args.format == "csv":
         print("k,w_k,eq3,ratio,witness")
         for r in rows:
-            print(f"{r['k']},{r['w_k']},{r['eq3']},{r['ratio']},{r['witness']}")
+            print(",".join(map(str, r.values())))
     else:
         print(f"{'k':>4} {'w_k':>22} {'eq3':>20} {'ratio':>20} {'witness':>20}")
         for r in rows:

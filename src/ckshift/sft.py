@@ -234,23 +234,25 @@ class ConvergenceReport:
 
     def to_csv(self) -> str:
         lines = ["k,w_k,eq3,ratio"]
-        for r in self.rows:
-            lines.append(f"{r.k},{_fmt_count(r.count)},{_fmt(r.growth)},{_fmt(r.ratio)}")
+        lines += [",".join(map(str, _row_fields(r).values())) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "target": None if self.target is None else _fmt(self.target),
-            "rows": [
-                {
-                    "k": r.k,
-                    "w_k": _fmt_count(r.count),
-                    "eq3": _fmt(r.growth),
-                    "ratio": _fmt(r.ratio),
-                }
-                for r in self.rows
-            ],
+            "rows": [_row_fields(r) for r in self.rows],
         }
+
+
+def _row_fields(row: ConvergenceRow, scale: float = 1.0) -> dict:
+    """The printed fields of a convergence row, in column order, with each
+    entropy divided by ``scale``."""
+    return {
+        "k": row.k,
+        "w_k": _fmt_count(row.count),
+        "eq3": _fmt(row.growth / scale),
+        "ratio": _fmt(row.ratio / scale),
+    }
 
 
 def entropy_estimates(mat: TransitionMatrix, k_max: int) -> ConvergenceReport:

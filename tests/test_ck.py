@@ -21,9 +21,10 @@ from ckshift import (
     spectral_radius,
     validate,
     verify_relations,
+    verify_witness_decomposition,
 )
 from ckshift import _perron
-from ckshift.matrix import parse_matrix
+from ckshift.matrix import TransitionMatrix, parse_matrix
 
 from conftest import random_degree_zero, random_monomial, seeded
 
@@ -97,6 +98,76 @@ class TestGenerator:
             golden_alg.generator((2, 2), 1, ())
         with pytest.raises(InadmissibleWordError):
             golden_alg.generator((), 1, (2, 2))
+
+    def test_one_builder_for_every_generator(self, golden_alg, full3_alg, random3_alg):
+        # every admissible alpha, beta with |beta| <= |alpha| <= 3 and every
+        # i, junction failures included, against the word path of monomial
+        for alg in (golden_alg, full3_alg, random3_alg):
+            words = [w for k in range(4) for w in alg.words(k)]
+            zeros = 0
+            for a in words:
+                for b in (w for w in words if len(w) <= len(a)):
+                    for i in range(1, alg.n + 1):
+                        x = alg._generator(a, b, i)
+                        assert x == alg.generator(a, i, b)
+                        assert x == alg.monomial(a + (i,), b + (i,))
+                        zeros += x.is_zero
+            # full3 has every edge, so no junction fails there
+            assert zeros > 0 or alg is full3_alg
+
+    def test_generator_through_a_zero_row_is_zero(self):
+        # the constructor does not validate: P_2 vanishes when row 2 is zero
+        alg = CuntzKriegerAlgebra(TransitionMatrix(((1, 1), (0, 0))))
+        assert alg.p(2).is_zero
+        assert alg.generator((), 2, ()).is_zero
+        assert alg.generator((1,), 2, (1,)).is_zero
+        assert alg.generator((1,), 1, ()) == alg.monomial((1, 1), (1,))
+
+    def test_list_words(self, golden_alg):
+        alg = golden_alg
+        assert alg.monomial([1], [1]) == alg.p(1)
+        assert alg.s([1, 2]) == alg.s((1, 2))
+        assert alg.s_star([2, 1]) == alg.s_star((2, 1))
+        assert alg.monomial([1, 1], [2], Fraction(1, 2)) == alg.monomial((1, 1), (2,), Fraction(1, 2))
+        assert alg.generator([1], 2, []) == alg.generator((1,), 2, ())
+        assert alg.monomial([2, 2], []).is_zero
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda alg: alg.monomial([3], []), SymbolOutOfRangeError),
+        (lambda alg: alg.monomial((), [0]), SymbolOutOfRangeError),
+        (lambda alg: alg.monomial(1, ()), TypeError),
+        (lambda alg: alg.monomial((), 1), TypeError),
+        # the left word fails first
+        (lambda alg: alg.monomial([5], 1), SymbolOutOfRangeError),
+        (lambda alg: alg.s(2), TypeError),
+        (lambda alg: alg.s([1, 3]), SymbolOutOfRangeError),
+        (lambda alg: alg.s_star([True]), SymbolOutOfRangeError),
+        (lambda alg: alg.p(3), SymbolOutOfRangeError),
+        (lambda alg: alg.element({((4,), ()): 1}), SymbolOutOfRangeError),
+        (lambda alg: alg.element({(1, ()): 1}), TypeError),
+        (lambda alg: alg.generator([1], 3, []), SymbolOutOfRangeError),
+        (lambda alg: alg.generator(1, 1, ()), TypeError),
+        (lambda alg: alg.generator([2, 2], 1, []), InadmissibleWordError),
+    ])
+    def test_bad_words_raise(self, golden_alg, call, error):
+        with pytest.raises(error):
+            call(golden_alg)
+
+    def test_witness_verifier_builds_every_generator_once(self, golden_alg, monkeypatch):
+        calls = []
+        real = CuntzKriegerAlgebra._generator
+
+        def counted(self, a, b, i):
+            calls.append((a, b, i))
+            return real(self, a, b, i)
+
+        monkeypatch.setattr(CuntzKriegerAlgebra, "_generator", counted)
+        n = 1
+        report = verify_witness_decomposition(golden_alg, 1, n)
+        assert report.ok
+        # seven pairs (alpha, beta) with |beta| <= |alpha| <= 1, two symbols
+        assert len(calls) == report.cases // n == 14
+        assert len(set(calls)) == len(calls)
 
 
 class TestMultiply:

@@ -280,6 +280,31 @@ class TestWords:
         assert payload["count"] == 5
         assert payload["words"][0] == [1, 1, 1]
 
+    def test_json_encodes_the_enumerated_words_as_they_are(self, capsys, monkeypatch, golden_file):
+        # json writes a tuple as an array, so the list of word tuples goes
+        # to the encoder uncopied, with the same bytes
+        enumerated, emitted = [], []
+
+        def enumerate_words(*args):
+            enumerated.append(sft.enumerate_words(*args))
+            return enumerated[-1]
+
+        def emit_json(obj):
+            emitted.append(obj)
+            real_emit_json(obj)
+
+        real_emit_json = cli._emit_json
+        monkeypatch.setattr(cli, "enumerate_words", enumerate_words)
+        monkeypatch.setattr(cli, "_emit_json", emit_json)
+        code, out, err = run(
+            capsys, ["words", "--matrix", golden_file, "--k-max", "16", "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        assert emitted[0]["words"] is enumerated[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6f857b8576ea77c3e9189aeef9d23a348f3b36cc8a8dd5e6dec0a0b5a2fd5f4f"
+        )
+
     @pytest.mark.parametrize("fmt, sha256", [
         ("text", "e56d6b08cb7354bbd609dda0c1107d841efdbd648221c8f1f967a921db8df4f3"),
         ("csv", "72e432d1f9c4cb00f20db2f0c850ad732a46bf26953805895e26422813e43f47"),
@@ -510,12 +535,12 @@ class TestConvergence:
         for r in rows:
             assert r["witness"] == _fmt(math.log(oracle_count(mat, r["k"] + n0)) / r["k"])
 
-    @pytest.mark.parametrize("n0", [-1, -5])
+    @pytest.mark.parametrize("n0", [-1, -3, -5])
     def test_negative_n0_exits_2(self, capsys, golden_file, n0):
         code, out, err = run(
             capsys, ["convergence", "--matrix", golden_file, "--n0", str(n0)]
         )
-        assert (code, out, err) == (2, "", "error: word length must be >= 1\n")
+        assert (code, out, err) == (2, "", "error: n0 must be >= 0\n")
 
 
 class TestVerifyCommands:
