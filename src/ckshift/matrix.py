@@ -8,7 +8,11 @@ A word count w(k) = 1^T A^(k-1) 1 takes one of two exact routes, chosen by
 the cost model in ``_recurrence_pays``: the walk v <- A v over the
 successor lists, or the minimal recurrence of the counts themselves
 (Berlekamp-Massey, checked exactly) with x^(k-1) taken modulo its
-polynomial by binary powering.
+polynomial by binary powering.  For fewer than (d + 1) / 2 counts from a
+recurrence of order d, the powering stops at x^h, h = (k-1) // 2, and the
+counts restart at w(h + 1): that skips the top squaring, the dearest step.
+When Berlekamp-Massey fails its exact check at one modulus, the cost model
+prices the next modulus against walking on before it is tried.
 The Perron vectors are found in floating point (power iteration, with
 Noda's inverse iteration where the spectral gap is small), and the spectral
 radius is then certified by exact integer Collatz-Wielandt bounds on those
@@ -337,9 +341,10 @@ def _annihilates(q: list[int], s: list[int]) -> bool:
     )
 
 
-def _minimal_recurrence(s: list[int]) -> list[int] | None:
+def _minimal_recurrence(s: list[int], pays=lambda bits: True) -> list[int] | None:
     """Low coefficients of the minimal polynomial of s = (1^T A^j 1), j < 2n,
-    checked exactly; None when no modulus in the list recovers it.
+    checked exactly; None when no modulus in the list recovers it, or when
+    ``pays(e)`` turns down the modulus 2^e - 1 before its attempt.
 
     The minimal polynomial of A annihilates s and has degree at most n, so
     that of s does too, and it is monic with integer coefficients (Gauss's
@@ -350,6 +355,8 @@ def _minimal_recurrence(s: list[int]) -> list[int] | None:
     (Massey's length bound).
     """
     for e in _MERSENNE_EXPONENTS:
+        if not pays(e):
+            return None
         q = _berlekamp_massey(s, (1 << e) - 1)
         if _annihilates(q, s):
             return q
@@ -371,7 +378,9 @@ def _x_power(e: int, taps, d: int) -> list[int]:
     """x^e mod p by binary powering (Fiduccia, SIAM J. Comput. 14, 1985):
     each bit squares the remainder, d(d+1)/2 products, and reduces the
     square by the recurrence, one product per tap for each of its d - 1
-    high coefficients."""
+    high coefficients.  The last squaring is the largest, its operands half
+    the size of the result; ``_word_counts`` powers only to half of a deep
+    exponent when 2K < d + 1 counts make that squaring the dearer step."""
     r = [1] + [0] * (d - 1)
     for bit in bin(e)[2:]:
         sq = [0] * (2 * d - 1)
@@ -392,18 +401,26 @@ def _x_power(e: int, taps, d: int) -> list[int]:
     return r
 
 
-def _recurrence_pays(n: int, edges: int, k_min: int, k_max: int) -> bool:
+def _recurrence_pays(
+    n: int, edges: int, k_min: int, k_max: int, bits: int = 61, walked: int = 0
+) -> bool:
     """The cost model that picks the route to w(k_min), ..., w(k_max).
 
     Costs are counted in Python-level integer operations (one addition or
     product of short operands, about 0.07 us on a 2-core Xeon VM):
     - the walk takes k_max - 1 steps of v <- A v, each n + |E| operations;
     - the recurrence walks 2n steps for s_0, ..., s_(2n-1); runs
-      Berlekamp-Massey modulo 2^61 - 1, 2n rounds of about 2n products and
-      50 operations of overhead; takes x^(k_min - 1) mod p by binary
-      powering, at most n^2 operations per bit, but x^e is a bare monomial
-      for e < d, so only the bits of (k_min - 1) // n count; and spends 2n
-      per further count (a shift by x and a dot product).
+      Berlekamp-Massey modulo 2^bits - 1, 2n rounds of about 2n products and
+      50 operations of overhead, where a product costs bits / 61 operations;
+      takes x^(k_min - 1) mod p by binary powering, at most n^2 operations
+      per bit, but x^e is a bare monomial for e < d, so only the bits of
+      (k_min - 1) // n count (when ``_word_counts`` stops the powering at
+      half the exponent, its restart costs the n^2 products of the bit it
+      saves); and spends 2n per further count (a shift by x and a dot
+      product).
+    ``walked`` steps of the walk are already in hand, so neither route pays
+    for them: 2n once the first modulus has failed its exact check, when
+    this model prices the next modulus against walking on.
     The order d <= n of the recurrence is not known before its set-up, so n
     stands in for it.  The model leaves out the growth of the operands:
     the walk's additions grow as its counts do and the powering's products
@@ -411,10 +428,10 @@ def _recurrence_pays(n: int, edges: int, k_min: int, k_max: int) -> bool:
     log2 k, so the routes come close only at short k, where the operands
     are short too.
     """
-    walk = (k_max - 1) * (n + edges)
+    walk = (k_max - 1 - walked) * (n + edges)
     recurrence = (
-        2 * n * (n + edges)
-        + 4 * n * (n + 25)
+        (2 * n - walked) * (n + edges)
+        + 4 * n * (n * bits // 61 + 25)
         + n * n * ((k_min - 1) // n).bit_length()
         + 2 * n * (k_max - k_min)
     )
@@ -431,19 +448,39 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     their minimal polynomial p of degree d <= n (``_minimal_recurrence``),
     and gives w(k) = sum_j r_j s_j with r = x^(k-1) mod p, so a deep k_min
     costs d^2 products per bit of k_min.  Each later count shifts r by x.
+    When fewer than (d + 1) / 2 counts are asked for (2K < d + 1, with
+    K = k_max - k_min + 1), the top squaring of that powering, d(d+1)/2
+    products of half-size remainders, costs more than the counts do, so
+    it is skipped: r = x^h mod p for h = (k_min - 1) // 2 gives the d
+    counts t_i = w(h + i + 1) = sum_j r_j s_(i+j), d^2 products of a
+    half-size r_j by a short s, and the counts go on from t with r, or
+    x r when k_min - 1 is odd, at d half-size products each.
     p annihilates the counts but not always the vectors A^j 1, so this
     route yields counts only, never the vector A^(k-1) 1.
     """
     if k_min < 1:
         raise ValueError("word length must be >= 1")
     n = mat.n
+    edges = sum(map(len, mat.successors))
     walk = _walk_counts(mat.successors, n)
-    if _recurrence_pays(n, sum(map(len, mat.successors)), k_min, k_max):
+    if _recurrence_pays(n, edges, k_min, k_max):
         s = list(itertools.islice(walk, 2 * n))
-        q = _minimal_recurrence(s)
+        q = _minimal_recurrence(
+            s, lambda bits: _recurrence_pays(n, edges, k_min, k_max, bits, 2 * n)
+        )
         if q is not None:
+            d = len(q)
             taps = [(j, c) for j, c in enumerate(q) if c]
-            r = _x_power(k_min - 1, taps, len(q))
+            if 2 * (k_max - k_min + 1) < d + 1:
+                # restart the counts at s_h: s_(h+i) = sum_j r_j s_(i+j)
+                # for r = x^h mod p
+                h, odd = divmod(k_min - 1, 2)
+                r = _x_power(h, taps, d)
+                s = [sum(map(operator.mul, r, s[i : i + d])) for i in range(d)]
+                if odd:
+                    r = _times_x(r, taps)
+            else:
+                r = _x_power(k_min - 1, taps, d)
             counts = []
             for _ in range(k_min, k_max + 1):
                 counts.append(sum(map(operator.mul, r, s)))
@@ -456,7 +493,10 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
 def word_count(mat: TransitionMatrix, k: int) -> int:
     """Number of admissible words of length k, exactly: the entry sum
     1^T A^(k-1) 1, by the walk or the minimal recurrence of the counts,
-    whichever the cost model in ``_recurrence_pays`` finds cheaper."""
+    whichever the cost model in ``_recurrence_pays`` finds cheaper.  On the
+    recurrence, a single count of order d >= 2 powers x only to
+    (k - 1) // 2 and restarts the counts at w((k - 1) // 2 + 1), as
+    ``_word_counts`` does whenever 2K < d + 1."""
     if k < 1:
         raise ValueError("word length must be >= 1")
     return _word_counts(mat, k, k)[0]

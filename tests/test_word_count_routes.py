@@ -148,3 +148,84 @@ def test_cost_model_routes():
     # no count inside the set-up walk is worth a recurrence
     for n, edges in ((2, 3), (3, 9), (12, 72), (120, 124), (120, 7_000)):
         assert not any(_recurrence_pays(n, edges, k, k) for k in range(1, 2 * n + 1))
+    # after 2^61 - 1 fails, the 2n set-up steps are in hand: walking on to
+    # w(360) beats Berlekamp-Massey modulo 2^127 - 1, but not to w(1000)
+    assert _recurrence_pays(120, 720, 360, 360)
+    assert not _recurrence_pays(120, 720, 360, 360, 127, 240)
+    assert _recurrence_pays(120, 720, 1000, 1000, 127, 240)
+
+
+def random_ones(rng, n, ones):
+    """A transition matrix with ``ones`` ones at uniformly random places."""
+    while True:
+        rows = [[0] * n for _ in range(n)]
+        for c in rng.sample(range(n * n), ones):
+            rows[c // n][c % n] = 1
+        if all(map(any, rows)) and all(map(any, zip(*rows))):
+            return validate(rows)
+
+
+def test_walk_on_when_the_next_modulus_costs_more(monkeypatch):
+    # its counts need 2^127 - 1; at k = 360 the model takes the recurrence,
+    # and once 2^61 - 1 fails, walking on from w(240) is the cheaper route
+    mat = random_ones(seeded(1901), 120, 720)
+    moduli = []
+    real = matrix._berlekamp_massey
+    monkeypatch.setattr(
+        matrix, "_berlekamp_massey", lambda s, prime: moduli.append(prime) or real(s, prime)
+    )
+    assert word_count(mat, 360) == oracle_count(mat, 360)
+    assert moduli == [(1 << 61) - 1]
+    moduli.clear()
+    q = _minimal_recurrence(_word_counts(mat, 240))
+    assert moduli == [(1 << 61) - 1, (1 << 127) - 1] and len(q) == 120
+
+
+def order(mat):
+    return len(_minimal_recurrence(_word_counts(mat, 2 * mat.n)))
+
+
+RESTART_MATRICES = SEEDED + [validate(rows) for rows in TRAP_ROWS]
+
+
+@pytest.mark.parametrize("index", range(len(RESTART_MATRICES)))
+def test_restart_at_half_the_exponent_against_oracle(monkeypatch, index):
+    # every count K up to past (d + 1) / 2, so both sides of the 2K < d + 1
+    # rule; k_min - 1 of both parities, shallow ones (h < d) and deep ones.
+    # full3 and the permutations have d = 1, which never restarts
+    mat = RESTART_MATRICES[index]
+    d = order(mat)
+    route(monkeypatch, "recurrence")
+    top = (d + 1) // 2 + 2
+    for k_min in (1, 2, 3, d, d + 1, 2 * d, 2 * d + 1, 2 * d + 2, 999, 1000):
+        want = oracle_counts(mat, k_min + top - 1, k_min)
+        for count in range(1, top + 1):
+            got = _word_counts(mat, k_min + count - 1, k_min)
+            assert got == want[:count], (mat, k_min, count)
+        assert _word_counts(mat, k_min - 1, k_min) == []
+
+
+def powered(monkeypatch):
+    exponents = []
+    real = matrix._x_power
+    monkeypatch.setattr(
+        matrix, "_x_power", lambda e, taps, d: exponents.append(e) or real(e, taps, d)
+    )
+    return exponents
+
+
+def test_deep_count_powers_to_half_the_exponent(monkeypatch):
+    k = 40_000
+    mat = random_irreducible(seeded(1902), 8, density=0.6, force_loop=True)
+    assert order(mat) > 2
+    exponents = powered(monkeypatch)
+    assert word_count(mat, k) == oracle_count(mat, k)
+    assert exponents and max(exponents) <= (k - 1) // 2
+
+
+def test_order_one_count_powers_the_whole_exponent(monkeypatch):
+    # d = 1: a squaring is cheaper than the one product of the restart
+    k = 200_000
+    exponents = powered(monkeypatch)
+    assert word_count(validate(FULL3_ROWS), k) == 3**k
+    assert exponents == [k - 1]
