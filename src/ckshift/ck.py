@@ -47,7 +47,7 @@ S_{eta a} S_{eta b}*; it multiplies nothing.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -308,7 +308,7 @@ class CuntzKriegerAlgebra:
     def monomial(self, left, right, coeff=1) -> CKElement:
         """coeff * S_left S_right*; the zero element when the monomial
         vanishes in the algebra."""
-        # checked here too, so that a bad left word fails before any right one
+        # checked here so that list words become tuples, which can be dict keys
         return self.element({(_check_word(left, self.n), _check_word(right, self.n)): coeff})
 
     def s(self, word) -> CKElement:
@@ -337,10 +337,9 @@ class CuntzKriegerAlgebra:
 
     def _generator(self, a: Word, b: Word, i: int) -> CKElement:
         """S_a P_i S_b* for admissible words a and b: zero when a junction
-        into i fails, or when i has no successor (a zero row, which
-        ``validate`` rejects); otherwise both words end at i, so they meet."""
+        into i fails; otherwise both words end at i, so they meet."""
         left, right = self._cat(a, (i,)), self._cat(b, (i,))
-        if left is None or right is None or not self._succ[i - 1]:
+        if left is None or right is None:
             return self.zero
         return CKElement(self, {tuple.__new__(Monomial, (left, right)): 1})
 
@@ -795,12 +794,7 @@ class VerificationReport:
         return not self.failures and self.passed == self.cases
 
     def to_json_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "passed": self.passed,
-            "failures": self.failures,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def _record_case(report: VerificationReport, mismatches, names: tuple, values: tuple) -> None:

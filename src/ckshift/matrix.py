@@ -1,9 +1,12 @@
 """Transition matrices: validation, graph structure, exact counting, Perron data.
 
 A transition matrix is a square 0/1 matrix with no zero row and no zero
-column.  Symbols are numbered 1..n in every public interface; the entry
-grid itself is stored 0-indexed.  Everything combinatorial (matrix powers,
-word counts) is computed in exact arbitrary-precision integer arithmetic.
+column.  The ``IntMatrix`` and ``TransitionMatrix`` constructors check their
+grid, so an instance meets these rules however it was built; ``validate``
+and ``validate_int`` are those constructors.  Symbols are numbered 1..n in
+every public interface; the entry grid itself is stored 0-indexed.
+Everything combinatorial (matrix powers, word counts) is computed in exact
+arbitrary-precision integer arithmetic.
 A word count w(k) = 1^T A^(k-1) 1 takes one of two exact routes, chosen by
 the cost model in ``_recurrence_pays``: the walk v <- A v over the
 successor lists, or the minimal recurrence of the counts themselves
@@ -32,7 +35,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 __all__ = [
     "MatrixError",
@@ -102,9 +105,44 @@ class NoConvergenceError(MatrixError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Validated square nonnegative integer matrix with no zero row or column."""
+    """Square nonnegative integer matrix with no zero row or column.
+
+    The constructor checks the grid, so every instance meets these rules
+    however it was built; it raises as ``validate`` documents.  The rows
+    may be any iterables, and ``entries`` is stored as a tuple of tuples; a
+    row that is a tuple already is kept as the same object.
+    """
 
     entries: tuple[tuple[int, ...], ...]
+    _top = math.inf  # the largest entry allowed
+    _expected = "a nonnegative integer"
+
+    def __post_init__(self) -> None:
+        grid = tuple(r if type(r) is tuple else tuple(r) for r in self.entries)
+        n = len(grid)
+        if not n:
+            raise NotSquareError("matrix has no rows")
+        # one pass, in row order, over the distinct row objects: a row shared
+        # by many states (as in the A' of ``dual_matrix``) is checked once
+        rows: dict[int, tuple[int, ...]] = {}
+        for i, row in enumerate(grid, start=1):
+            if id(row) in rows:
+                continue
+            rows[id(row)] = row
+            if len(row) != n:
+                raise NotSquareError(f"matrix is {n}x{len(row)}, expected square")
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) > self._top:
+                for j, v in enumerate(row, start=1):
+                    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= self._top:
+                        raise EntryOutOfRangeError(i, j, v, self._expected)
+            if not any(row):
+                raise ZeroRowError(i)
+        zero_columns = range(n)
+        for row in rows.values():
+            zero_columns = [j for j in zero_columns if not row[j]]
+        if zero_columns:
+            raise ZeroColumnError(zero_columns[0] + 1)
+        object.__setattr__(self, "entries", grid)
 
     @property
     def n(self) -> int:
@@ -120,7 +158,12 @@ class IntMatrix:
 
 @dataclass(frozen=True, repr=False)
 class TransitionMatrix(IntMatrix):
-    """Validated square 0/1 matrix with no zero row or column."""
+    """Square 0/1 matrix with no zero row or column: the matrices for which
+    the Cuntz-Krieger algebra is defined.  Its constructor checks the grid
+    as ``IntMatrix``'s does, with entries of 0 or 1 only."""
+
+    _top = 1
+    _expected = "0 or 1"
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
@@ -176,44 +219,26 @@ class DualDecomposition:
     edge_labels: tuple[tuple[int, int, int], ...]
 
 
-def _check_grid(rows, *, zero_one: bool) -> tuple[tuple[int, ...], ...]:
-    grid = [list(r) for r in rows]
-    n = len(grid)
-    if n == 0:
-        raise NotSquareError("matrix has no rows")
-    for r in grid:
-        if len(r) != n:
-            raise NotSquareError(f"matrix is {n}x{len(r)}, expected square")
-    expected = "0 or 1" if zero_one else "a nonnegative integer"
-    for i, row in enumerate(grid, start=1):
-        for j, v in enumerate(row, start=1):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise EntryOutOfRangeError(i, j, v, expected)
-            if zero_one and v not in (0, 1):
-                raise EntryOutOfRangeError(i, j, v, expected)
-            if not zero_one and v < 0:
-                raise EntryOutOfRangeError(i, j, v, expected)
-    for i, row in enumerate(grid, start=1):
-        if not any(row):
-            raise ZeroRowError(i)
-    for j in range(n):
-        if not any(grid[i][j] for i in range(n)):
-            raise ZeroColumnError(j + 1)
-    return tuple(tuple(r) for r in grid)
-
-
 def validate(rows) -> TransitionMatrix:
-    """Validate a raw integer grid as a transition matrix.
+    """Validate a raw integer grid as a transition matrix: the grid checked
+    by the ``TransitionMatrix`` constructor.
 
     Raises NotSquareError, EntryOutOfRangeError, ZeroRowError or
-    ZeroColumnError on the first violation found (rows before columns).
+    ZeroColumnError for the first fault found.  The rows are checked in
+    order, each for its length, then its entries from left to right (ints,
+    not bools), then for being zero; after every row, the columns, and the
+    first zero column is reported.  So of several faults the first row that
+    breaks any rule is reported, and a zero column only when no row breaks
+    one.
     """
-    return TransitionMatrix(_check_grid(rows, zero_one=True))
+    return TransitionMatrix(rows)
 
 
 def validate_int(rows) -> IntMatrix:
-    """Validate a raw grid as a nonnegative integer matrix without zero rows/columns."""
-    return IntMatrix(_check_grid(rows, zero_one=False))
+    """Validate a raw grid as a nonnegative integer matrix without zero
+    rows or columns: the grid checked by the ``IntMatrix`` constructor, in
+    the order ``validate`` documents."""
+    return IntMatrix(rows)
 
 
 def _reachable(succ: tuple[tuple[int, ...], ...], start: int) -> set[int]:
@@ -468,13 +493,12 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     n = mat.n
     edges = sum(map(len, mat.successors))
     walk = _walk_counts(mat.successors, n)
-    if _recurrence_pays(n, edges, k_min, k_max):
+    # a modulus costs more the more bits it has, so the priced ones are a prefix
+    pays = partial(_recurrence_pays, n, edges, k_min, k_max)
+    exponents = tuple(itertools.takewhile(pays, _MERSENNE_EXPONENTS))
+    if exponents:
         s = list(itertools.islice(walk, 2 * n))
-        # a modulus costs more the more bits it has, so these are a prefix
-        q = _minimal_recurrence(
-            s,
-            [e for e in _MERSENNE_EXPONENTS if _recurrence_pays(n, edges, k_min, k_max, e)],
-        )
+        q = _minimal_recurrence(s, exponents)
         if q is not None:
             d = len(q)
             taps = [(j, c) for j, c in enumerate(q) if c]
@@ -639,7 +663,8 @@ def dual_matrix(mat: IntMatrix) -> DualDecomposition:
     starts.  Row i of S marks the edges leaving i; an edge into j has the
     unit vector of j as its row of T and row j of S as its row of A', one
     tuple shared by every edge into j, so O(n E) cells are held, not E^2.
-    M has no zero row or column, so neither has A', which needs no rescan.
+    The ``TransitionMatrix`` constructor checks each of those n distinct
+    rows once, so the check of A' takes O(n E) steps too.
     S T = M and T S = A' hold exactly, checked in O(n E + n^2) steps.
 
     Raises MatrixError, before allocating anything, when the edge matrix

@@ -185,8 +185,7 @@ def markov_entropy(pd: ParryData) -> float:
 
 
 def _support(pd: ParryData) -> TransitionMatrix:
-    rows = [[1 if p > 0.0 else 0 for p in row] for row in pd.stochastic]
-    return TransitionMatrix(tuple(tuple(r) for r in rows))
+    return TransitionMatrix([[int(p > 0.0) for p in row] for row in pd.stochastic])
 
 
 def partition_entropy(pd: ParryData, n: int, cap: int = WORD_CAP) -> float:

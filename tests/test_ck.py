@@ -16,6 +16,7 @@ from ckshift import (
     MatrixError,
     NoConvergenceError,
     SymbolOutOfRangeError,
+    ZeroRowError,
     parry_measure,
     partition_entropy,
     spectral_radius,
@@ -115,13 +116,12 @@ class TestGenerator:
             # full3 has every edge, so no junction fails there
             assert zeros > 0 or alg is full3_alg
 
-    def test_generator_through_a_zero_row_is_zero(self):
-        # the constructor does not validate: P_2 vanishes when row 2 is zero
-        alg = CuntzKriegerAlgebra(TransitionMatrix(((1, 1), (0, 0))))
-        assert alg.p(2).is_zero
-        assert alg.generator((), 2, ()).is_zero
-        assert alg.generator((1,), 2, (1,)).is_zero
-        assert alg.generator((1,), 1, ()) == alg.monomial((1, 1), (1,))
+    def test_no_algebra_for_a_zero_row(self):
+        # the matrix constructor checks the grid, so no algebra is built on a
+        # zero row and no generator needs to test for one
+        with pytest.raises(ZeroRowError) as exc:
+            CuntzKriegerAlgebra(TransitionMatrix(((1, 1), (0, 0))))
+        assert exc.value.row == 2
 
     def test_list_words(self, golden_alg):
         alg = golden_alg

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from ckshift import (
     NoConvergenceError,
     NotIrreducibleError,
     NotSquareError,
+    TransitionMatrix,
     ZeroColumnError,
     ZeroRowError,
     dual_matrix,
@@ -92,6 +94,90 @@ class TestValidate:
             validate_int([[1, -1], [1, 1]])
         with pytest.raises(ZeroRowError):
             validate_int([[0, 0], [1, 1]])
+
+
+# one grid for each fault, in the order the check meets them within a row
+GRID_FAULTS = [
+    ((), NotSquareError),
+    (((1, 1), (1,)), NotSquareError),
+    (((1, -1), (1, 1)), EntryOutOfRangeError),
+    (((1, True), (1, 1)), EntryOutOfRangeError),
+    (((1, 1.0), (1, 1)), EntryOutOfRangeError),
+    (((1, "1"), (1, 1)), EntryOutOfRangeError),
+    (((1, 1), (0, 0)), ZeroRowError),
+    (((1, 0), (1, 0)), ZeroColumnError),
+]
+
+
+class TestConstructorChecks:
+    """Every IntMatrix and TransitionMatrix meets the rules, however built."""
+
+    @pytest.mark.parametrize("cls, check", [(TransitionMatrix, validate), (IntMatrix, validate_int)])
+    @pytest.mark.parametrize("rows, error", GRID_FAULTS)
+    def test_each_constructor_rejects_each_fault(self, cls, check, rows, error):
+        with pytest.raises(error) as built:
+            cls(rows)
+        with pytest.raises(error) as checked:
+            check([list(r) for r in rows])
+        assert str(built.value) == str(checked.value)
+
+    def test_faults_named(self):
+        with pytest.raises(ZeroRowError) as exc:
+            TransitionMatrix(((1, 1), (0, 0)))
+        assert exc.value.row == 2
+        with pytest.raises(EntryOutOfRangeError) as exc:
+            IntMatrix(((1, -1), (1, 1)))
+        assert str(exc.value) == "entry (1,2) is -1, expected a nonnegative integer"
+        with pytest.raises(EntryOutOfRangeError) as exc:
+            TransitionMatrix(((1, 2), (1, 0)))
+        assert str(exc.value) == "entry (1,2) is 2, expected 0 or 1"
+        assert IntMatrix(((1, 2), (1, 0))).entry(1, 2) == 2
+
+    def test_replace_checks_again(self, golden_mean):
+        with pytest.raises(ZeroRowError) as exc:
+            dataclasses.replace(golden_mean, entries=((1, 1), (0, 0)))
+        assert exc.value.row == 2
+        full = dataclasses.replace(golden_mean, entries=[[1, 1], [1, 1]])
+        assert full.entries == ((1, 1), (1, 1))
+
+    def test_rows_stored_as_tuples(self):
+        rows = [[1, 1], [1, 0]]
+        mat = TransitionMatrix(rows)
+        assert type(mat.entries) is tuple and all(type(r) is tuple for r in mat.entries)
+        assert mat.entries == validate(rows).entries == ((1, 1), (1, 0))
+        assert mat == validate(rows) and hash(mat) == hash(validate(rows))
+        assert IntMatrix(iter([range(2), (3, 0)])).entries == ((0, 1), (3, 0))
+        row = (1, 1)
+        mat = TransitionMatrix((row, row))
+        assert mat.entries[0] is row and mat.entries[1] is row
+
+    def test_int_subclass_entries_pass(self):
+        class Count(int):
+            pass
+
+        assert validate([[Count(1)]]).entries == ((1,),)
+        assert validate_int([[Count(2)]]).entries == ((2,),)
+
+    def test_first_faulty_row_is_reported(self):
+        # the rows in order, each for any rule, then the columns
+        with pytest.raises(EntryOutOfRangeError) as exc:
+            validate([[1, 2], [1]])
+        assert (exc.value.row, exc.value.col) == (1, 2)
+        with pytest.raises(ZeroRowError) as exc:
+            validate([[1, 0], [0, 0]])
+        assert exc.value.row == 2
+        with pytest.raises(EntryOutOfRangeError) as exc:
+            validate([[1, 1, 1], [1, "x", 2], [-1, 0, 0]])
+        assert (exc.value.row, exc.value.col, exc.value.value) == (2, 2, "x")
+        with pytest.raises(ZeroColumnError) as exc:
+            validate([[1, 0, 0], [1, 0, 0], [1, 0, 1]])
+        assert exc.value.col == 2
+
+    def test_shared_row_reported_at_its_first_index(self):
+        zero = (0, 0, 0)
+        with pytest.raises(ZeroRowError) as exc:
+            TransitionMatrix(((1, 1, 1), zero, zero))
+        assert exc.value.row == 2
 
 
 class TestIrreducible:
@@ -350,6 +436,13 @@ class TestDual:
         assert peak < 20 * 2**20
         assert dual.a_prime.entries == ((1,) * 3000,) * 3000
         assert dual.t_factor == ((1,),) * 3000
+
+    def test_edge_matrix_rows_stay_shared(self):
+        # the constructor of A' keeps each tuple row as it is
+        rows = dual_matrix(validate_int([[3000]])).a_prime.entries
+        assert all(row is rows[0] for row in rows)
+        rows = dual_matrix(validate_int([[0, 2], [3, 1]])).a_prime.entries
+        assert len({id(row) for row in rows}) == 2
 
 
 class TestWitnessDimension:

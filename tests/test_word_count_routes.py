@@ -171,6 +171,25 @@ def test_walk_on_when_the_next_modulus_costs_more(monkeypatch):
     assert moduli == [(1 << 61) - 1, (1 << 127) - 1] and len(q) == 120
 
 
+def test_each_modulus_priced_once(monkeypatch):
+    # the route choice is the pricing of 2^61 - 1, and pricing stops at the
+    # first modulus that costs more than the walk
+    priced = []
+    real = matrix._recurrence_pays
+    monkeypatch.setattr(
+        matrix, "_recurrence_pays", lambda *args: priced.append(args[4:]) or real(*args)
+    )
+    assert word_count(validate(GOLDEN_ROWS), 5) == 13
+    assert priced == [(61,)]
+    priced.clear()
+    assert word_count(validate(FULL3_ROWS), 200_000) == 3**200_000
+    assert priced == [(e,) for e in matrix._MERSENNE_EXPONENTS]
+    priced.clear()
+    mat = validate(random_transition_rows(seeded(1901), 120, 0.05))
+    assert word_count(mat, 360) == oracle_count(mat, 360)
+    assert priced == [(61,), (127,)]
+
+
 def order(mat):
     return len(_minimal_recurrence(_word_counts(mat, 2 * mat.n)))
 
