@@ -9,7 +9,9 @@ Everything combinatorial (matrix powers, word counts) is computed in exact
 arbitrary-precision integer arithmetic.
 A word count w(k) = 1^T A^(k-1) 1 takes one of two exact routes, chosen by
 the cost model in ``_recurrence_pays``: the walk v <- A v over the
-successor lists, or the minimal recurrence of the counts themselves
+successor lists, by the one exact matrix-vector kernel ``_matvec`` (a row
+with a single successor costs it one gathered read), or the minimal
+recurrence of the counts themselves
 (Berlekamp-Massey, checked exactly) with x^(k-1) taken modulo its
 polynomial by binary powering.  For fewer than (d + 1) / 2 counts from a
 recurrence of order d, the powering stops at x^h, h = (k-1) // 2, and the
@@ -19,8 +21,8 @@ prices the next modulus against walking on before it is tried.
 The Perron vectors are found in floating point (power iteration, with
 Noda's inverse iteration where the spectral gap is small), and the spectral
 radius is then certified by exact integer Collatz-Wielandt bounds on those
-vectors.  Those bounds sum over the successor and predecessor lists in
-Python integers, by the same exact step as the word counts.
+vectors.  Those bounds sum A u and A^T v over the successor and
+predecessor lists in Python integers, by the same kernel as the walk.
 
 The float search is the private module ``_perron``, the one place numpy is
 used; ``spectral_radius`` imports it on first use.  Everything else here is
@@ -34,6 +36,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -305,21 +308,40 @@ def matrix_power(mat: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in result)
 
 
-def _adjacency_matvec(adjacency, v: list[int]) -> list[int]:
-    """A v, exactly, for the 0/1 matrix A whose row i lists its nonzero
-    columns (1-based) in adjacency[i - 1]: ``mat.successors`` gives A and
-    ``mat.predecessors`` its transpose."""
-    get = [0, *v].__getitem__
-    return [sum(map(get, row)) for row in adjacency]
+def _matvec(adjacency):
+    """The map v -> A v, exactly, for the 0/1 matrix A whose row i lists its
+    nonzero columns (1-based) in adjacency[i - 1]: ``mat.successors`` gives
+    A and ``mat.predecessors`` its transpose.  Every row must be nonempty,
+    as every row and column of a ``TransitionMatrix`` is.
+
+    Built once per adjacency: a step gathers every row's first entry with
+    one C-level ``map``, then adds the rest only of the rows that have more
+    than one entry.  So a row with a single entry, most of the rows of a
+    long cycle with a few chords, costs one gathered read, not a Python
+    call of its own."""
+    firsts = [row[0] - 1 for row in adjacency]
+    tails = [
+        (i, [j - 1 for j in row[1:]]) for i, row in enumerate(adjacency) if len(row) > 1
+    ]
+
+    def matvec(v: list[int]) -> list[int]:
+        get = v.__getitem__
+        out = list(map(get, firsts))
+        for i, tail in tails:
+            out[i] += sum(map(get, tail))
+        return out
+
+    return matvec
 
 
 def _walk_counts(successors, n: int):
     """Yield w(1), w(2), ... for ever: v <- A v from v = 1, where v[i]
     counts the words of the current length that start at symbol i + 1."""
+    step = _matvec(successors)
     v = [1] * n
     while True:
         yield sum(v)
-        v = _adjacency_matvec(successors, v)
+        v = step(v)
 
 
 # Moduli for Berlekamp-Massey, tried in turn: the Mersenne primes 2^e - 1.
@@ -427,13 +449,19 @@ def _x_power(e: int, taps, d: int) -> list[int]:
 
 
 def _recurrence_pays(
-    n: int, edges: int, k_min: int, k_max: int, bits: int = 61
+    n: int, edges: float, k_min: int, k_max: int, bits: int = 61
 ) -> bool:
     """The cost model that picks the route to w(k_min), ..., w(k_max).
 
     Costs are counted in Python-level integer operations (one addition or
     product of short operands, about 0.07 us on a 2-core Xeon VM):
-    - the walk takes k_max - 1 steps of v <- A v, each n + |E| operations;
+    - the walk takes k_max - 1 steps of v <- A v, each n + ``edges``
+      operations.  A row with two or more successors costs one operation
+      for the row and one per edge, as it did before the kernel gathered;
+      a row with one successor is one read of the C-level gather of
+      ``_matvec``, priced at a quarter of its row and edge, 1/2 in all.
+      So ``edges`` is |E| less 3/2 per row with one successor, and |E|
+      itself when every row has two or more;
     - the recurrence walks 2n steps for s_0, ..., s_(2n-1); runs
       Berlekamp-Massey modulo 2^bits - 1, 2n rounds of about 2n products and
       50 operations of overhead, where a product costs bits / 61 operations;
@@ -454,9 +482,19 @@ def _recurrence_pays(
     log2 k, so the routes come close only at short k, where the operands
     are short too.  The bits / 61 product cost overstates the larger
     moduli (Berlekamp-Massey at 2^127 - 1 measured about 1.45 times its
-    time at 2^61 - 1, at 2^521 - 1 about 5.6 times); near the crossover
-    the two omissions offset, and the model switches routes within about
-    10% of the k where the measured times cross.
+    time at 2^61 - 1, at 2^521 - 1 about 5.6 times).
+    Measured crossovers of a forced walk and a forced recurrence for one
+    count w(k) (best of 9 on that VM, Python 3.11; the model's switch in
+    brackets): a random dense 12-state matrix with 72 edges near k = 62
+    (52), a random 40-state one with 800 edges near 110 (98); the
+    120-state chord cycle of the benchmark near 1600 (2264), a 50-state
+    one near 700 (887); the 200-cycle with a loop near 1300 (4109).  So
+    the model walks a little early on dense matrices and late on sparse
+    ones: a row with several successors costs the kernel a Python-level
+    step besides its edges, which its price leaves out, and on the
+    200-cycle the counts are nearly linear below w(n), so Berlekamp-Massey
+    meets few nonzero discrepancies, and p has two taps; its recurrence
+    costs about a third of its price.
     """
     walk = (k_max - 1) * (n + edges)
     recurrence = (
@@ -473,8 +511,10 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     counts the admissible words of length k.
 
     Two exact routes; ``_recurrence_pays`` picks the cheaper.  The walk
-    steps v <- A v over the successor lists, |E| bigint additions per
-    length.  The recurrence walks only to s_j = w(j + 1) for j < 2n, finds
+    steps v <- A v over the successor lists by the kernel of ``_matvec``,
+    built once: per length, one gathered read per state, then the bigint
+    additions of the further successors of the rows that have more than
+    one.  The recurrence walks only to s_j = w(j + 1) for j < 2n, finds
     their minimal polynomial p of degree d <= n (``_minimal_recurrence``),
     and gives w(k) = sum_j r_j s_j with r = x^(k-1) mod p, so a deep k_min
     costs d^2 products per bit of k_min.  Each later count shifts r by x.
@@ -491,7 +531,9 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     if k_min < 1:
         raise ValueError("word length must be >= 1")
     n = mat.n
-    edges = sum(map(len, mat.successors))
+    # a row with one successor is one gathered read of the walk's kernel:
+    # priced at half an operation in all, -1/2 here beside its 1 in n
+    edges = sum(d if d > 1 else -0.5 for d in map(len, mat.successors))
     walk = _walk_counts(mat.successors, n)
     # a modulus costs more the more bits it has, so the priced ones are a prefix
     pays = partial(_recurrence_pays, n, edges, k_min, k_max)
@@ -560,12 +602,12 @@ def _float_above(num: int, den: int) -> float:
 
 def _collatz_wielandt(adjacency, vec) -> tuple[float, float]:
     """Floats lo <= min_i (A u)_i / u_i and hi >= max_i (A u)_i / u_i for
-    the 0/1 matrix A given by its adjacency lists (as in
-    ``_adjacency_matvec``) and the positive vector u = vec.  The ratios are
-    compared exactly, by integer cross-products; for irreducible A, r(A)
-    lies in [lo, hi] (Collatz-Wielandt; Seneta, ch. 1)."""
+    the 0/1 matrix A given by its adjacency lists (as in ``_matvec``, whose
+    kernel sums A u over them) and the positive vector u = vec.  The ratios
+    are compared exactly, by integer cross-products; for irreducible A,
+    r(A) lies in [lo, hi] (Collatz-Wielandt; Seneta, ch. 1)."""
     u = _scaled(vec)
-    sums = _adjacency_matvec(adjacency, u)
+    sums = _matvec(adjacency)(u)
     lo = hi = 0
     for i in range(1, len(u)):
         if sums[i] * u[lo] < sums[lo] * u[i]:
@@ -718,11 +760,19 @@ def witness_dimension(mat: TransitionMatrix, n: int, n0: int) -> int:
     return word_count(mat, n + n0)
 
 
+# an entry of a text matrix file: ASCII digits, with an optional minus sign
+_INTEGER = re.compile("-?[0-9]+")
+
+
 def parse_matrix(text: str) -> list[list[int]]:
     """Parse a matrix file body.
 
     Two formats are accepted: a JSON object {"n": <int>, "rows": [[...], ...]}
     or plain text with one row per line, entries separated by whitespace.
+    A text entry is an ASCII integer, an optional minus sign and the digits
+    0-9 (``-?[0-9]+``): ``+1``, ``0_1`` and non-ASCII digits are invalid
+    rows, though ``int()`` would take them.  A negative entry is read, and
+    left for the matrix constructors to reject.
     """
     body = text.strip()
     if not body:
@@ -751,9 +801,12 @@ def parse_matrix(text: str) -> list[list[int]]:
         line = line.strip()
         if not line:
             continue
+        tokens = line.split()
         try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
+            if not all(map(_INTEGER.fullmatch, tokens)):
+                raise ValueError("an entry is not an ASCII integer")
+            rows.append(list(map(int, tokens)))
+        except ValueError as exc:  # a malformed entry, or one past the digit limit
             raise MatrixError(f"invalid matrix row {line!r}") from exc
     return rows
 

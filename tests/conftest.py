@@ -159,6 +159,25 @@ def sparse_irreducible(rng, n, extra_edges=2):
     return validate(rows)
 
 
+def chord_cycle(n, chords, rng):
+    """Rows of the n-cycle 1 -> 2 -> ... -> n -> 1 plus ``chords`` distinct
+    random chords and one random loop: the layout of the benchmark's sparse
+    matrices, drawn in the same order, so ``chord_cycle(120, 3, seeded(1))``
+    is its first 120-state chord cycle before the states are renamed."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1
+    added = 0
+    while added < chords:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j and not rows[i][j]:
+            rows[i][j] = 1
+            added += 1
+    loop = rng.randrange(n)
+    rows[loop][loop] = 1
+    return rows
+
+
 def cycle_with_loop(n):
     """Rows of the n-cycle 1 -> 2 -> ... -> n -> 1 plus a loop at symbol 1.
 

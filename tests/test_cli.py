@@ -131,6 +131,21 @@ class TestValidate:
         assert '"rows" must be a list of lists' in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ["0_1", "+1", "١"])
+    def test_non_ascii_integer_entry_exits_2(self, capsys, tmp_path, token):
+        # int() reads each of these as 1, and validate used to exit 0
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 {token}\n1 0\n", encoding="utf-8")
+        code, out, err = run(capsys, ["validate", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid matrix row {'1 ' + token!r}\n"
+
+    def test_negative_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("-1 1\n1 0\n")
+        code, out, err = run(capsys, ["validate", "--matrix", str(path)])
+        assert (code, out, err) == (2, "", "error: entry (1,1) is -1, expected 0 or 1\n")
+
     @pytest.mark.parametrize(
         "body",
         [

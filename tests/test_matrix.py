@@ -28,14 +28,16 @@ from ckshift import (
     word_count,
 )
 from ckshift._perron import _power_loop
-from ckshift.matrix import MatrixError, _word_counts, parse_matrix
+from ckshift.matrix import MatrixError, _matvec, _word_counts, parse_matrix
 
 from conftest import (
     FULL3_ROWS,
     GOLDEN_ROWS,
     PERM2_ROWS,
+    chord_cycle,
     closure_strongly_connected,
     cycle_with_loop,
+    cyclic_permutation,
     random_irreducible,
     random_transition_rows,
     seeded,
@@ -274,6 +276,45 @@ class TestWordCount:
             _word_counts(golden_mean, 5, 0)
 
 
+def dense_matvec(rows, v):
+    """A v by every cell of the dense grid."""
+    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+
+
+def matvec_shapes():
+    rng = seeded(2101)
+    full_row = cycle_with_loop(30)
+    full_row[7] = [1] * 30
+    return {
+        "permutation": cyclic_permutation(rng, 25),
+        "cycle with a loop": validate(cycle_with_loop(50)),
+        "chord cycle": validate(chord_cycle(120, 3, seeded(1))),
+        "dense 40x40": validate(random_transition_rows(rng, 40, density=0.9)),
+        "one full row": validate(full_row),
+    }
+
+
+class TestMatvecKernel:
+    """The one exact kernel of the walk and the certificate, against the
+    dense integer products A v and A^T v."""
+
+    # 70 and 200 bits: entries past 2^64, as the walk's counts soon are
+    @pytest.mark.parametrize("bits", [3, 70, 200])
+    @pytest.mark.parametrize("name", list(matvec_shapes()))
+    def test_against_dense_products(self, name, bits):
+        mat = matvec_shapes()[name]
+        rng = seeded(2102 + bits)
+        rows = [list(r) for r in mat.entries]
+        columns = [list(c) for c in zip(*rows)]
+        forward, backward = _matvec(mat.successors), _matvec(mat.predecessors)
+        for _ in range(3):
+            v = [rng.getrandbits(bits) for _ in range(mat.n)]
+            before = list(v)
+            assert forward(v) == dense_matvec(rows, v)
+            assert backward(v) == dense_matvec(columns, v)
+            assert v == before  # the kernel leaves its input alone
+
+
 class TestSpectralRadius:
     def test_full_matrices(self):
         for n in (2, 3, 4, 5):
@@ -478,6 +519,18 @@ class TestParsing:
     def test_bad_token(self):
         with pytest.raises(MatrixError):
             parse_matrix("1 x\n1 0\n")
+
+    @pytest.mark.parametrize(
+        "token", ["0_1", "+1", "\u0661", "\uff11", "1_000", "--1", "-", "1.0", "0x1"]
+    )
+    def test_only_ascii_integers(self, token):
+        # int() takes the first five: 0_1 read as 1, +1 as 1, the Arabic-Indic
+        # and the fullwidth digit one as 1, and 1_000 as 1000
+        with pytest.raises(MatrixError, match="^invalid matrix row "):
+            parse_matrix(f"1 {token}\n1 0\n")
+
+    def test_ascii_integers_read(self):
+        assert parse_matrix("-0 1\n007 -12\n") == [[0, 1], [7, -12]]
 
     def test_empty(self):
         with pytest.raises(MatrixError):
