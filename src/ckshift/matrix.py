@@ -457,11 +457,10 @@ def _recurrence_pays(
     product of short operands, about 0.07 us on a 2-core Xeon VM):
     - the walk takes k_max - 1 steps of v <- A v, each n + ``edges``
       operations.  A row with two or more successors costs one operation
-      for the row and one per edge, as it did before the kernel gathered;
-      a row with one successor is one read of the C-level gather of
-      ``_matvec``, priced at a quarter of its row and edge, 1/2 in all.
-      So ``edges`` is |E| less 3/2 per row with one successor, and |E|
-      itself when every row has two or more;
+      for the row and one per edge; a row with one successor is one read
+      of the C-level gather of ``_matvec``, priced at a quarter of its row
+      and edge, 1/2 in all.  So ``edges`` is |E| less 3/2 per row with one
+      successor, and |E| itself when every row has two or more;
     - the recurrence walks 2n steps for s_0, ..., s_(2n-1); runs
       Berlekamp-Massey modulo 2^bits - 1, 2n rounds of about 2n products and
       50 operations of overhead, where a product costs bits / 61 operations;
