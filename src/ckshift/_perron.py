@@ -1,12 +1,15 @@
 """Floating-point search for the Perron vectors of a transition matrix.
 
-The only module of the package that imports numpy at load time.
+The only module of the package that imports numpy at load time, and, with
+``CuntzKriegerAlgebra.witness_blocks``, the only code that holds numpy arrays.
 ``matrix.spectral_radius`` imports it on first use, so the exact work
 (validation, word counts, the edge-matrix factorization and the generator
-algebra) never loads numpy.  Each Perron vector of A + I comes from power
-iteration, with Noda's inverse iteration where the spectral gap is small;
-``matrix`` then certifies the radius in exact integer arithmetic and asks
-this module for the float residual of the pair.
+algebra) never loads numpy.  Its one entry point, ``perron_vectors``, takes
+the matrix and returns the two vectors as lists of Python floats.  Each
+Perron vector of A + I comes from power iteration, with Noda's inverse
+iteration where the spectral gap is small; ``matrix`` then certifies the
+radius in exact integer arithmetic, and computes the residual of the pair
+over the adjacency lists with the kernel of that certificate.
 """
 
 from __future__ import annotations
@@ -16,16 +19,6 @@ import math
 import numpy as np
 
 from .matrix import NoConvergenceError, TransitionMatrix
-
-
-def adjacency(mat: TransitionMatrix) -> np.ndarray:
-    """A as a float array, filled from its successor lists."""
-    n = mat.n
-    rows = [i for i, succ in enumerate(mat.successors) for _ in succ]
-    cols = [j - 1 for succ in mat.successors for j in succ]
-    a = np.zeros((n, n))
-    a[rows, cols] = 1.0
-    return a
 
 
 def _power_loop(m: np.ndarray, tol: float, max_iterations: int, v: np.ndarray):
@@ -132,18 +125,16 @@ def _perron_vector(m: np.ndarray, tol: float, max_iterations: int):
     return v, used + it
 
 
-def perron_vectors(a: np.ndarray, tol: float, max_iterations: int):
-    """Right and left Perron vectors of the float 0/1 matrix a, each
-    summing to 1 and found on a + I, and the steps spent on both; each
+def perron_vectors(mat: TransitionMatrix, tol: float, max_iterations: int):
+    """Right and left Perron vectors of the transition matrix ``mat``, as
+    lists of Python floats each summing to 1, and the steps spent on both.
+    Both are found on A + I, built here from the successor lists; each
     vector's steps count against ``max_iterations`` on their own."""
-    shifted = a + np.eye(a.shape[0])
+    n = mat.n
+    rows = [i for i, succ in enumerate(mat.successors) for _ in succ]
+    cols = [j - 1 for succ in mat.successors for j in succ]
+    shifted = np.eye(n)
+    shifted[rows, cols] += 1.0
     right, it_right = _perron_vector(shifted, tol, max_iterations)
     left, it_left = _perron_vector(shifted.T, tol, max_iterations)
-    return right, left, it_right + it_left
-
-
-def residual(a: np.ndarray, radius: float, right: np.ndarray, left: np.ndarray) -> float:
-    """max(inf-norm of a u - radius u, inf-norm of a^T v - radius v)."""
-    resid_right = float(np.abs(a @ right - radius * right).max())
-    resid_left = float(np.abs(a.T @ left - radius * left).max())
-    return max(resid_right, resid_left)
+    return right.tolist(), left.tolist(), it_right + it_left

@@ -25,6 +25,7 @@ import os
 import sys
 
 from .matrix import (
+    _check_tol,
     _word_counts,
     dual_matrix,
     is_irreducible,
@@ -99,6 +100,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_entropy(args) -> int:
     mat = load_matrix(args.matrix)
+    _check_tol(args.tol)  # the reducible branch never reaches spectral_radius
     irreducible = is_irreducible(mat)
     warnings = [] if irreducible else ["matrix is not irreducible"]
     if is_permutation(mat):

@@ -22,12 +22,14 @@ The Perron vectors are found in floating point (power iteration, with
 Noda's inverse iteration where the spectral gap is small), and the spectral
 radius is then certified by exact integer Collatz-Wielandt bounds on those
 vectors.  Those bounds sum A u and A^T v over the successor and
-predecessor lists in Python integers, by the same kernel as the walk.
+predecessor lists in Python integers, by the same kernel as the walk; the
+residual of the pair is summed over the same lists, in floats.
 
-The float search is the private module ``_perron``, the one place numpy is
-used; ``spectral_radius`` imports it on first use.  Everything else here is
-pure Python, so validation, word counts and ``dual_matrix`` never load
-numpy.
+The float search is one call, ``_perron.perron_vectors``: the matrix in,
+the two vectors out as lists of Python floats.  That private module is the
+one place numpy is used; ``spectral_radius`` imports it on first use.
+Everything here is pure Python and holds no numpy object, so validation,
+word counts and ``dual_matrix`` never load numpy.
 """
 
 from __future__ import annotations
@@ -192,8 +194,9 @@ class PerronData:
     with lower <= r(A) <= upper proved in exact arithmetic: each is the
     exact Collatz-Wielandt bound of the returned vectors, rounded outward.
     ``radius`` is their midpoint.  ``residual`` is the achieved value of
-    max(inf-norm of A u - radius u, inf-norm of A^T v - radius v), and
-    ``iterations`` counts the Noda and power steps of both vectors.
+    max(inf-norm of A u - radius u, inf-norm of A^T v - radius v), in
+    floats, with A u and A^T v summed over the successor and predecessor
+    lists; ``iterations`` counts the Noda and power steps of both vectors.
     """
 
     radius: float
@@ -309,10 +312,12 @@ def matrix_power(mat: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _matvec(adjacency):
-    """The map v -> A v, exactly, for the 0/1 matrix A whose row i lists its
-    nonzero columns (1-based) in adjacency[i - 1]: ``mat.successors`` gives
-    A and ``mat.predecessors`` its transpose.  Every row must be nonempty,
-    as every row and column of a ``TransitionMatrix`` is.
+    """The map v -> A v for the 0/1 matrix A whose row i lists its nonzero
+    columns (1-based) in adjacency[i - 1]: ``mat.successors`` gives A and
+    ``mat.predecessors`` its transpose.  Every row must be nonempty, as
+    every row and column of a ``TransitionMatrix`` is.  Exact on ints; on
+    floats, each row is its first entry plus the float ``sum`` of the rest,
+    taken in list order.
 
     Built once per adjacency: a step gathers every row's first entry with
     one C-level ``map``, then adds the rest only of the rows that have more
@@ -616,6 +621,18 @@ def _collatz_wielandt(adjacency, vec) -> tuple[float, float]:
     return _float_below(sums[lo], u[lo]), _float_above(sums[hi], u[hi])
 
 
+def _residual(adjacency, vec: list[float], radius: float) -> float:
+    """max_i |(A u)_i - radius u_i| in floats, for A given by its adjacency
+    lists and u = vec, with A u from ``_matvec``."""
+    return max(abs(s - radius * x) for s, x in zip(_matvec(adjacency)(vec), vec))
+
+
+def _check_tol(tol: float) -> None:
+    """The one rule for a tolerance: positive and finite (so not nan)."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+
+
 def spectral_radius(
     mat: TransitionMatrix, tol: float = 1e-12, max_iterations: int = 1_000_000
 ) -> PerronData:
@@ -633,7 +650,7 @@ def spectral_radius(
     are intersected and rounded outward to ``lower`` and ``upper``, and
     ``radius`` is their midpoint.  When rounding stalls the float iteration
     short of tol / 4, the exact bracket alone decides.  The float search
-    and the residual are numpy's, in ``_perron``; the certificate is not.
+    is numpy's, in ``_perron``; the certificate and the residual are not.
 
     Budget: power and Noda steps together count against ``max_iterations``
     for each vector, and ``iterations`` is their sum over both vectors.
@@ -643,15 +660,12 @@ def spectral_radius(
     the iteration budget is exhausted, or when the certified bracket is
     wider than tol or the residual larger than tol.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    _check_tol(tol)
     if not is_irreducible(mat):
         raise NotIrreducibleError("matrix is not irreducible")
     from . import _perron
 
-    base = _perron.adjacency(mat)
-    right, left, iterations = _perron.perron_vectors(base, tol / 4.0, max_iterations)
-    u, v = right.tolist(), left.tolist()
+    u, v, iterations = _perron.perron_vectors(mat, tol / 4.0, max_iterations)
     lo_right, hi_right = _collatz_wielandt(mat.successors, u)
     lo_left, hi_left = _collatz_wielandt(mat.predecessors, v)
     lower = max(lo_right, lo_left)
@@ -663,7 +677,7 @@ def spectral_radius(
             f"{upper - lower:.3e} wide, more than tol {tol:.3e}",
         )
     radius = 0.5 * (lower + upper)
-    residual = _perron.residual(base, radius, right, left)
+    residual = max(_residual(mat.successors, u, radius), _residual(mat.predecessors, v, radius))
     if residual > tol:
         raise NoConvergenceError(
             iterations,

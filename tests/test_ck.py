@@ -24,7 +24,7 @@ from ckshift import (
     verify_relations,
     verify_witness_decomposition,
 )
-from ckshift import _perron
+from ckshift import matrix
 from ckshift.matrix import TransitionMatrix, parse_matrix
 
 from conftest import random_degree_zero, random_monomial, seeded
@@ -491,7 +491,7 @@ class TestRelationSuite:
 
 
 def _residual_over_tol(alg, monkeypatch):
-    monkeypatch.setattr(_perron, "residual", lambda *args: 1.0)
+    monkeypatch.setattr(matrix, "_residual", lambda *args: 1.0)
     spectral_radius(alg.matrix)
 
 

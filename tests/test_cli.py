@@ -247,6 +247,15 @@ class TestEntropy:
         assert (code, out) == (2, "")
         assert err == "error: tolerance must be positive and finite\n"
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    def test_bad_tolerance_exits_2_on_a_reducible_matrix(self, capsys, tmp_path, tol):
+        # no Perron computation runs here, so the command checks --tol itself
+        path = tmp_path / "upper.txt"
+        path.write_text("1 1\n0 1\n")
+        code, out, err = run(capsys, ["entropy", "--matrix", str(path), "--tol", tol])
+        assert (code, out) == (2, "")
+        assert err == "error: tolerance must be positive and finite\n"
+
     @pytest.mark.parametrize("command", ["entropy", "parry"])
     def test_loose_tolerance_exits_0(self, capsys, golden_file, command):
         # a fixed 1e-10 stationarity check used to fail here (error 6.0e-09)

@@ -25,7 +25,7 @@ from ckshift import (
     validate,
     word_count,
 )
-from ckshift import matrix
+from ckshift import _perron, matrix
 
 from conftest import (
     GOLDEN_ROWS,
@@ -200,6 +200,62 @@ class TestCertificateOnArbitraryVectors:
                         assert high > largest
                     else:
                         assert Fraction(math.nextafter(hi, -math.inf)) < high <= Fraction(hi)
+
+
+class TestPerronSeam:
+    """``_perron.perron_vectors`` is the one call into the float search: the
+    matrix in, two lists of Python floats and a step count out.  Everything
+    after it (the certificate, the residual) is computed outside numpy, so
+    any search that returns that shape can stand in for it."""
+
+    def test_returns_float_lists_and_a_step_count(self):
+        mats = [validate(GOLDEN_ROWS), validate(cycle_with_loop(12))]
+        for mat in mats + [random_irreducible(seeded(621), 60)]:
+            right, left, iterations = _perron.perron_vectors(mat, 1e-12 / 4, 1_000_000)
+            for vec in (right, left):
+                assert type(vec) is list and len(vec) == mat.n
+                assert all(type(x) is float for x in vec)
+            assert type(iterations) is int
+
+    def test_spectral_radius_takes_any_search_behind_the_seam(self, monkeypatch):
+        # the reference power iteration on A + I and its transpose stands in
+        # for the power and Noda search
+        rng = seeded(622)
+        mats = [validate(GOLDEN_ROWS), validate(RANDOM3_ROWS), validate([[1] * 3] * 3)]
+        mats.append(random_irreducible(rng, 8, force_loop=True))
+        for mat in mats:
+            m = np.array(mat.entries, dtype=float) + np.eye(mat.n)
+            _, right, _, it_right = perron_iterate(m, 1e-12 / 4, 1_000_000)
+            _, left, _, it_left = perron_iterate(m.T, 1e-12 / 4, 1_000_000)
+            stub = (right.tolist(), left.tolist(), it_right + it_left)
+            calls = []
+
+            def search(arg, tol, max_iterations):
+                calls.append(arg)
+                return stub
+
+            with monkeypatch.context() as patch:
+                patch.setattr(_perron, "perron_vectors", search)
+                pd = spectral_radius(mat)
+            assert calls == [mat]
+            assert (list(pd.right), list(pd.left), pd.iterations) == stub
+            _check_bracket(mat, pd, 1e-12)
+
+    def test_residual_over_the_adjacency_lists(self):
+        # the seeded set of test_matrix's residual test: the float sums over
+        # the successor and predecessor lists agree with a dense product
+        eps = 2.0**-53
+        rng = seeded(104)
+        for _ in range(15):
+            mat = random_irreducible(rng, rng.randrange(2, 8))
+            pd = spectral_radius(mat)
+            a = np.array(mat.entries, dtype=float)
+            u, v = np.array(pd.right), np.array(pd.left)
+            dense = max(
+                float(np.abs(a @ u - pd.radius * u).max()),
+                float(np.abs(a.T @ v - pd.radius * v).max()),
+            )
+            assert abs(pd.residual - dense) <= 8 * mat.n * eps * max(1.0, pd.radius)
 
 
 class TestRouteSandwich:
