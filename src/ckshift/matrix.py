@@ -10,8 +10,9 @@ arbitrary-precision integer arithmetic.
 A word count w(k) = 1^T A^(k-1) 1 takes one of two exact routes, chosen by
 the cost model in ``_recurrence_pays``: the walk v <- A v over the
 successor lists, by the one exact matrix-vector kernel ``_matvec`` (a row
-with a single successor costs it one gathered read), or the minimal
-recurrence of the counts themselves
+with a single successor costs it one read of a C-level ``itemgetter``
+gather), each count summed through the in-degrees over only the states
+entered more than once, or the minimal recurrence of the counts themselves
 (Berlekamp-Massey, checked exactly) with x^(k-1) taken modulo its
 polynomial by binary powering.  For fewer than (d + 1) / 2 counts from a
 recurrence of order d, the powering stops at x^h, h = (k-1) // 2, and the
@@ -34,6 +35,7 @@ word counts and ``dual_matrix`` never load numpy.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -311,6 +313,16 @@ def matrix_power(mat: IntMatrix, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in result)
 
 
+def _gather(indices):
+    """v -> the sequence of v[i] for i in ``indices``, read in C by one
+    ``operator.itemgetter``.  Given a single index, itemgetter returns the
+    item itself, not a 1-tuple, so one index (or none) reads a slice."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return operator.itemgetter(slice(start, start + len(indices)))
+
+
 def _matvec(adjacency):
     """The map v -> A v for the 0/1 matrix A whose row i lists its nonzero
     columns (1-based) in adjacency[i - 1]: ``mat.successors`` gives A and
@@ -320,20 +332,26 @@ def _matvec(adjacency):
     taken in list order.
 
     Built once per adjacency: a step gathers every row's first entry with
-    one C-level ``map``, then adds the rest only of the rows that have more
-    than one entry.  So a row with a single entry, most of the rows of a
-    long cycle with a few chords, costs one gathered read, not a Python
-    call of its own."""
-    firsts = [row[0] - 1 for row in adjacency]
+    one ``operator.itemgetter`` call, in C (``_gather``, which reads a 1x1
+    matrix's one entry as a slice), then adds the rest only of the rows
+    that have more than one entry: a second entry by a plain index, three
+    or more by the row's own itemgetter.  So a row with a single entry,
+    most of the rows of a long cycle with a few chords, costs one gathered
+    read, not a Python call of its own."""
+    firsts = _gather([row[0] - 1 for row in adjacency])
+    seconds = [(i, row[1] - 1) for i, row in enumerate(adjacency) if len(row) == 2]
     tails = [
-        (i, [j - 1 for j in row[1:]]) for i, row in enumerate(adjacency) if len(row) > 1
+        (i, operator.itemgetter(*[j - 1 for j in row[1:]]))
+        for i, row in enumerate(adjacency)
+        if len(row) > 2
     ]
 
     def matvec(v: list[int]) -> list[int]:
-        get = v.__getitem__
-        out = list(map(get, firsts))
+        out = list(firsts(v))
+        for i, j in seconds:
+            out[i] += v[j]
         for i, tail in tails:
-            out[i] += sum(map(get, tail))
+            out[i] += sum(tail(v))
         return out
 
     return matvec
@@ -341,11 +359,25 @@ def _matvec(adjacency):
 
 def _walk_counts(successors, n: int):
     """Yield w(1), w(2), ... for ever: v <- A v from v = 1, where v[i]
-    counts the words of the current length that start at symbol i + 1."""
+    counts the words of the current length that start at symbol i + 1.
+
+    A count is summed through the in-degrees, not over v: a word of length
+    k + 1 is a word of length k with a symbol entering it prepended, so
+    w(k + 1) = sum_j indeg(j) v_k(j) = w(k) + sum_j (indeg(j) - 1) v_k(j),
+    from w(1) = n.  Every in-degree is at least 1, so only the states
+    entered more than once are read, by one gather; the in-degrees come
+    from the successor lists in O(|E|)."""
     step = _matvec(successors)
+    indegree = collections.Counter(itertools.chain.from_iterable(successors))
+    entered = [j for j, d in indegree.items() if d > 1]
+    weights = [indegree[j] - 1 for j in entered]
+    gather = _gather([j - 1 for j in entered])
     v = [1] * n
+    count = n
+    yield count
     while True:
-        yield sum(v)
+        count += sum(map(operator.mul, weights, gather(v)))
+        yield count
         v = step(v)
 
 
@@ -463,9 +495,11 @@ def _recurrence_pays(
     - the walk takes k_max - 1 steps of v <- A v, each n + ``edges``
       operations.  A row with two or more successors costs one operation
       for the row and one per edge; a row with one successor is one read
-      of the C-level gather of ``_matvec``, priced at a quarter of its row
-      and edge, 1/2 in all.  So ``edges`` is |E| less 3/2 per row with one
-      successor, and |E| itself when every row has two or more;
+      of the C-level gather of ``_matvec``, priced at a tenth of its row
+      and edge, 1/5 in all.  So ``edges`` is |E| less 9/5 per row with one
+      successor, and |E| itself when every row has two or more.  The count
+      that goes with each step reads only the states entered more than
+      once (``_walk_counts``), and is left inside the price of the rows;
     - the recurrence walks 2n steps for s_0, ..., s_(2n-1); runs
       Berlekamp-Massey modulo 2^bits - 1, 2n rounds of about 2n products and
       50 operations of overhead, where a product costs bits / 61 operations;
@@ -489,16 +523,16 @@ def _recurrence_pays(
     time at 2^61 - 1, at 2^521 - 1 about 5.6 times).
     Measured crossovers of a forced walk and a forced recurrence for one
     count w(k) (best of 9 on that VM, Python 3.11; the model's switch in
-    brackets): a random dense 12-state matrix with 72 edges near k = 62
-    (52), a random 40-state one with 800 edges near 110 (98); the
-    120-state chord cycle of the benchmark near 1600 (2264), a 50-state
-    one near 700 (887); the 200-cycle with a loop near 1300 (4109).  So
-    the model walks a little early on dense matrices and late on sparse
-    ones: a row with several successors costs the kernel a Python-level
-    step besides its edges, which its price leaves out, and on the
-    200-cycle the counts are nearly linear below w(n), so Berlekamp-Massey
-    meets few nonzero discrepancies, and p has two taps; its recurrence
-    costs about a third of its price.
+    brackets): a random dense 12-state matrix with 82 edges near k = 60
+    (47), a random 40-state one with 795 edges near 115 (98); the
+    120-state chord cycle of the benchmark near 5000 (4673), a 50-state
+    one near 1350 (1399); the 200-cycle with a loop near 3900 (10215).
+    So the model leaves the walk a little early on dense matrices, whose
+    further successors the kernel gathers and sums in C for less than an
+    operation each, and walks late on the 200-cycle: its counts are
+    nearly linear below w(n), so Berlekamp-Massey meets few nonzero
+    discrepancies, and p has two taps.  Its recurrence costs about a third
+    of its price, which the walk's price cannot see before the set-up.
     """
     walk = (k_max - 1) * (n + edges)
     recurrence = (
@@ -515,13 +549,16 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     counts the admissible words of length k.
 
     Two exact routes; ``_recurrence_pays`` picks the cheaper.  The walk
-    steps v <- A v over the successor lists by the kernel of ``_matvec``,
-    built once: per length, one gathered read per state, then the bigint
-    additions of the further successors of the rows that have more than
-    one.  The recurrence walks only to s_j = w(j + 1) for j < 2n, finds
-    their minimal polynomial p of degree d <= n (``_minimal_recurrence``),
-    and gives w(k) = sum_j r_j s_j with r = x^(k-1) mod p, so a deep k_min
-    costs d^2 products per bit of k_min.  Each later count shifts r by x.
+    (``_walk_counts``) steps v <- A v over the successor lists by the
+    kernel of ``_matvec``, built once: per length, one C-level gather of
+    every row's first successor, then the bigint additions of the further
+    successors of the rows that have more than one.  Each count adds to
+    the last the (indeg(j) - 1) v(j) of the states j entered more than
+    once, by one more gather, not a sum over all n states.  The recurrence
+    walks only to s_j = w(j + 1) for j < 2n, finds their minimal
+    polynomial p of degree d <= n (``_minimal_recurrence``), and gives
+    w(k) = sum_j r_j s_j with r = x^(k-1) mod p, so a deep k_min costs d^2
+    products per bit of k_min.  Each later count shifts r by x.
     When fewer than (d + 1) / 2 counts are asked for (2K < d + 1, with
     K = k_max - k_min + 1), the top squaring of that powering, d(d+1)/2
     products of half-size remainders, costs more than the counts do, so
@@ -535,9 +572,9 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     if k_min < 1:
         raise ValueError("word length must be >= 1")
     n = mat.n
-    # a row with one successor is one gathered read of the walk's kernel:
-    # priced at half an operation in all, -1/2 here beside its 1 in n
-    edges = sum(d if d > 1 else -0.5 for d in map(len, mat.successors))
+    # a row with one successor is one read of the walk's C-level gather:
+    # priced at a fifth of an operation in all, -4/5 here beside its 1 in n
+    edges = sum(d if d > 1 else -0.8 for d in map(len, mat.successors))
     walk = _walk_counts(mat.successors, n)
     # a modulus costs more the more bits it has, so the priced ones are a prefix
     pays = partial(_recurrence_pays, n, edges, k_min, k_max)

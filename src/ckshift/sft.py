@@ -183,14 +183,16 @@ def cylinder_probability(pd: ParryData, word) -> float:
 def markov_entropy(pd: ParryData) -> float:
     """Entropy rate of the Markov measure, -sum_i pi_i sum_j P(i,j) log P(i,j).
 
-    The terms are summed by ``math.fsum``, so the sum adds no rounding of
-    its own however many edges there are.
+    Only the nonzero cells of the dense rows are visited (``filter``, in
+    C), one per edge: 124 of the 14,400 cells of a 120-state cycle with
+    three chords and a loop.  The terms are summed by ``math.fsum``, which
+    is exactly rounded, so the sum adds no rounding of its own however many
+    edges there are, and the order of the terms does not matter.
     """
     return math.fsum(
         -pi * p * math.log(p)
         for pi, row in zip(pd.stationary, pd.stochastic)
-        for p in row
-        if p > 0.0
+        for p in filter(None, row)
     )
 
 

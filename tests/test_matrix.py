@@ -285,12 +285,20 @@ def matvec_shapes():
     rng = seeded(2101)
     full_row = cycle_with_loop(30)
     full_row[7] = [1] * 30
+    full_column = cycle_with_loop(30)
+    for row in full_column:
+        row[7] = 1
+    # i -> i + 1 and i -> i + 3: every row and column has one further entry
+    two_each = [[int((j - i) % 20 in (1, 3)) for j in range(20)] for i in range(20)]
     return {
         "permutation": cyclic_permutation(rng, 25),
         "cycle with a loop": validate(cycle_with_loop(50)),
         "chord cycle": validate(chord_cycle(120, 3, seeded(1))),
         "dense 40x40": validate(random_transition_rows(rng, 40, density=0.9)),
         "one full row": validate(full_row),
+        "1x1": validate([[1]]),  # one index: itemgetter returns the item itself
+        "two entries in every row": validate(two_each),
+        "one full column": validate(full_column),  # in-degree n
     }
 
 

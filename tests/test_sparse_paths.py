@@ -2,11 +2,12 @@
 cycle, whose walk reads most rows by one gather, and the Parry rows built
 over the successor lists, against dense references."""
 
+import math
 from pathlib import Path
 
 import pytest
 
-from ckshift import load_matrix, matrix, parry_measure, validate, word_count
+from ckshift import load_matrix, markov_entropy, matrix, parry_measure, validate, word_count
 
 from conftest import (
     GOLDEN_ROWS,
@@ -71,3 +72,10 @@ def test_parry_rows_are_the_dense_rows(name):
     assert pd.stochastic == dense.stochastic
     assert pd.stationary == dense.stationary
     assert pd.radius == dense.radius
+    # zero cells skipped: the same value as over every positive cell
+    assert markov_entropy(pd) == math.fsum(
+        -pi * p * math.log(p)
+        for pi, row in zip(pd.stationary, pd.stochastic)
+        for p in row
+        if p > 0.0
+    )

@@ -2,6 +2,7 @@
 against the matrix-squaring oracle."""
 
 import itertools
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import (
     GOLDEN_ROWS,
     PERM2_ROWS,
     RANDOM3_ROWS,
+    cycle_with_loop,
     cyclic_permutation,
     periodic_irreducible,
     random_irreducible,
@@ -20,7 +22,7 @@ from conftest import (
     seeded,
     sparse_irreducible,
 )
-from word_count_oracle import matvec, oracle_count, power_vector
+from word_count_oracle import cycle_with_loop_count, matvec, oracle_count, power_vector
 
 # "walk" and "recurrence" force one route, "model" lets the cost model pick
 ROUTES = ("walk", "recurrence", "model")
@@ -80,6 +82,48 @@ def test_seeded_matrices_against_oracle(monkeypatch, index):
             for k, want in deep.items():
                 assert word_count(mat, k) == want[0], (name, mat, k)
                 assert _word_counts(mat, k + 9, k) == want, (name, mat, k)
+
+
+def in_degree_shapes():
+    """Each shape with its reference count k -> w(k)."""
+    full_column = cycle_with_loop(30)
+    for row in full_column:
+        row[7] = 1
+    shapes = {
+        "permutation": cyclic_permutation(seeded(2301), 25),
+        "one full column": validate(full_column),
+        "[[1, 1], [0, 1]]": validate([[1, 1], [0, 1]]),
+        "[[1]]": validate([[1]]),
+    }
+    refs = {name: (mat, partial(oracle_count, mat)) for name, mat in shapes.items()}
+    # the oracle's squarings of a 200 x 200 grid take seconds; this one
+    # counts from the shape of the graph
+    refs["200-cycle with a loop"] = (
+        validate(cycle_with_loop(200)),
+        partial(cycle_with_loop_count, 200),
+    )
+    return refs
+
+
+IN_DEGREE_SHAPES = in_degree_shapes()
+
+
+def test_cycle_with_loop_count_is_the_oracle_count():
+    for n in range(2, 9):
+        mat = validate(cycle_with_loop(n))
+        for k in range(1, 41):
+            assert cycle_with_loop_count(n, k) == oracle_count(mat, k), (n, k)
+
+
+@pytest.mark.parametrize("name", list(IN_DEGREE_SHAPES))
+def test_walk_counts_through_in_degrees(monkeypatch, name):
+    # the walk adds (indeg(j) - 1) v(j) per count over the states entered
+    # more than once: none (the permutations), one (a single gathered index:
+    # the cycle with a loop, [[1, 1], [0, 1]]) or one entered from every state
+    mat, count = IN_DEGREE_SHAPES[name]
+    route(monkeypatch, "walk")
+    for k in (1, 2, 3, 1000):
+        assert word_count(mat, k) == count(k), (name, k)
 
 
 def all_valid_3x3():
