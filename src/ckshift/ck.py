@@ -4,10 +4,15 @@ The algebra is generated by one partial isometry per symbol, subject to the
 usual relations: the range projections P_i = S_i S_i* are orthogonal, and
 the support projections satisfy S_i* S_i = sum_j A(i,j) P_j.  Elements are
 finite linear combinations of monomials S_mu S_nu* over admissible words,
-with exact rational coefficients, so equality of elements is decidable.  A
-coefficient is stored as an ``int`` when it is integral and as a
-``Fraction`` otherwise; an int is a ``numbers.Rational`` and compares,
-hashes and prints like the equal Fraction.
+with exact rational coefficients, so equality of elements is decidable.
+Stored terms are in normal form: no coefficient is zero, and a coefficient
+is stored as an ``int`` when it is integral and as a ``Fraction``
+otherwise; an int is a ``numbers.Rational`` and compares, hashes and prints
+like the equal Fraction.  The public constructors, sums and scalar
+multiples normalize what they build.  Generators, support projections,
+shifts, adjoints and negations are in normal form by construction, and so
+is a product whose coefficients are all nonzero ints; these skip the
+normalization.
 
 A monomial is identified with zero at construction time when either word is
 inadmissible, or when the two words end in symbols with no common successor
@@ -117,6 +122,10 @@ class Monomial(NamedTuple):
         return "".join(out)
 
 
+# the coefficient types of a map whose coefficients are all ints
+_INT = {int}
+
+
 def _coeff(c) -> numbers.Rational:
     """c as an exact coefficient: an int as it is, anything else as a
     Fraction (which ``CKElement`` stores as an int when it is integral)."""
@@ -126,10 +135,14 @@ def _coeff(c) -> numbers.Rational:
 class CKElement:
     """Immutable finite rational combination of monomials.
 
-    Zero coefficients are dropped; an integral coefficient is stored as an
-    ``int`` and any other as a ``Fraction``.  ``==`` is structural (same
-    stored terms); use ``algebra.equal`` for equality in the algebra, which
-    is invariant under refinement.
+    The stored terms are in normal form: no coefficient is zero, and an
+    integral coefficient is stored as an ``int``, any other as a
+    ``Fraction``.  The constructor normalizes the map it is given.
+    ``_normal`` stores a map that is in normal form by construction as it
+    is, without a copy; the algebra builds its generators, support
+    projections, shifts, adjoints, negations and all-integer products that
+    way.  ``==`` is structural (same stored terms); use ``algebra.equal``
+    for equality in the algebra, which is invariant under refinement.
     """
 
     __slots__ = ("algebra", "terms")
@@ -141,6 +154,15 @@ class CKElement:
             for m, c in terms.items()
             if c
         }
+
+    @classmethod
+    def _normal(cls, algebra: "CuntzKriegerAlgebra", terms: dict) -> "CKElement":
+        """The element of ``terms``, a fresh map already in normal form,
+        stored as it is; the map is not written to afterwards."""
+        x = object.__new__(cls)
+        x.algebra = algebra
+        x.terms = terms
+        return x
 
     @property
     def is_zero(self) -> bool:
@@ -159,7 +181,7 @@ class CKElement:
         return CKElement(self.algebra, merged)
 
     def __neg__(self):
-        return CKElement(self.algebra, {m: -c for m, c in self.terms.items()})
+        return CKElement._normal(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CKElement):
@@ -183,7 +205,7 @@ class CKElement:
     def adjoint(self) -> "CKElement":
         """The *-operation: S_mu S_nu* maps to S_nu S_mu*, coefficients
         unchanged (they are rational)."""
-        return CKElement(
+        return CKElement._normal(
             self.algebra,
             {Monomial(m.right, m.left): c for m, c in self.terms.items()},
         )
@@ -325,7 +347,7 @@ class CuntzKriegerAlgebra:
     def q(self, i: int) -> CKElement:
         """Support projection S_i* S_i, expanded as sum_j A(i,j) P_j."""
         _check_word((i,), self.n)
-        return CKElement(self, dict.fromkeys(self._q_terms[i - 1], 1))
+        return CKElement._normal(self, dict.fromkeys(self._q_terms[i - 1], 1))
 
     def generator(self, alpha, i: int, beta) -> CKElement:
         """S_alpha P_i S_beta*.
@@ -341,7 +363,7 @@ class CuntzKriegerAlgebra:
         left, right = self._cat(a, (i,)), self._cat(b, (i,))
         if left is None or right is None:
             return self.zero
-        return CKElement(self, {tuple.__new__(Monomial, (left, right)): 1})
+        return CKElement._normal(self, {tuple.__new__(Monomial, (left, right)): 1})
 
     def _generator_words(self, alpha, i: int, beta) -> tuple[Word, Word]:
         """alpha and beta as words, checked for S_alpha P_i S_beta*: every
@@ -389,12 +411,20 @@ class CuntzKriegerAlgebra:
         return ()
 
     def _multiply(self, x: CKElement, y: CKElement) -> CKElement:
+        """x y for elements of this algebra, unchecked.  A product whose
+        coefficients are all nonzero ints is in normal form already and is
+        stored as it is; any other goes through the normalizing constructor."""
         acc: dict[Monomial, numbers.Rational] = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 c = c1 * c2
                 for m in self._pair_products(m1, m2):
                     acc[m] = acc.get(m, 0) + c
+        if not acc:
+            return self.zero
+        coeffs = acc.values()
+        if set(map(type, coeffs)) == _INT and 0 not in coeffs:
+            return CKElement._normal(self, acc)
         return CKElement(self, acc)
 
     # -- refinement and equality -------------------------------------------
@@ -430,12 +460,13 @@ class CuntzKriegerAlgebra:
         The difference is split by gauge degree; within each degree all terms
         are refined to the maximal right depth present and the coefficient
         maps compared.  Sound because stored monomials are nonzero and, at a
-        common right depth, linearly independent.
+        common right depth, linearly independent.  Elements of this algebra
+        stored with the same terms are equal without a refinement.
         """
+        if x.terms == y.terms and x.algebra is self is y.algebra:
+            return True
         self._check_own(x)
         self._check_own(y)
-        if x.terms == y.terms:
-            return True
         sectors: dict[int, dict] = {}
         for m, c in (x - y).terms.items():
             sectors.setdefault(m.degree, {})[m] = c
@@ -467,7 +498,7 @@ class CuntzKriegerAlgebra:
                     mono = new(Monomial, (eta + a, eta + b)) if a and b else meet(eta + a, eta + b)
                     if mono is not None:
                         acc[mono] = c
-        return CKElement(self, acc)
+        return CKElement._normal(self, acc)
 
     def block_embedding(self, m: int, x: CKElement) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
@@ -817,12 +848,6 @@ def _record_case(report: VerificationReport, mismatches, names: tuple, values: t
         )
 
 
-def _unequal(alg: CuntzKriegerAlgebra, x: CKElement, y: CKElement) -> tuple:
-    """The mismatches of a relation case: one, without details, when x and
-    y differ in the algebra."""
-    return () if alg.equal(x, y) else ({},)
-
-
 def verify_relations(
     alg: CuntzKriegerAlgebra,
     max_word_len: int = 4,
@@ -835,33 +860,36 @@ def verify_relations(
     sum_j P_j = 1, the collapse rule S_mu* S_nu = delta_{mu nu} Q_t(mu) for
     words of equal length, absorption Q_eta S_alpha = A(eta o(alpha)) S_alpha,
     and the depth resolutions sum over length-m words of S_mu S_mu* = 1.
-    Each instance of a relation is one case, entered into the report by
-    ``_record_case``; a failed case leaves one record, and the records come
-    in the order above, each family in the order of its symbols and words.
+    Each instance of a relation is one case, decided by ``alg.equal`` and
+    entered into the report by ``_record_case``; a failed case leaves one
+    record, and the records come in the order above, each family in the
+    order of its symbols and words.  Every element here comes from the
+    algebra, so products go straight to ``alg._multiply``.
 
     ``inject_fault`` corrupts one coefficient of the unit decomposition, to
     exercise the failure reporting path.
     """
-    n = alg.n
+    n, rows, mul, equal, zero = alg.n, alg._rows, alg._multiply, alg.equal, alg.zero
     report = VerificationReport(
         0, 0, params={"max_word_len": max_word_len, "max_state_len": max_state_len}
     )
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            rhs = alg.p(i) if i == j else alg.zero
+            rhs = alg.p(i) if i == j else zero
             _record_case(
-                report, _unequal(alg, alg.p(i) * alg.p(j), rhs),
+                report, () if equal(mul(alg.p(i), alg.p(j)), rhs) else ({},),
                 ("relation", "i", "j"), ("range_projection_orthogonality", i, j),
             )
 
-    total = alg.zero
+    total = zero
     for j in range(1, n + 1):
         total = total + alg.p(j)
     if inject_fault:
         total = total + alg.p(1) * Fraction(1, 2)
     _record_case(
-        report, _unequal(alg, total, alg.identity), ("relation",), ("unit_decomposition",)
+        report, () if equal(total, alg.identity) else ({},),
+        ("relation",), ("unit_decomposition",),
     )
 
     q = {j: alg.q(j) for j in range(1, n + 1)}
@@ -875,27 +903,28 @@ def verify_relations(
         for mu, _ in level:
             star = alg.s_star(mu)
             for nu, s_nu in level:
-                rhs = q[mu[-1]] if mu == nu else alg.zero
+                rhs = q[mu[-1]] if mu == nu else zero
                 _record_case(
-                    report, _unequal(alg, star * s_nu, rhs),
+                    report, () if equal(mul(star, s_nu), rhs) else ({},),
                     ("relation", "mu", "nu"), ("word_collapse", mu, nu),
                 )
 
     for ke in range(1, max_state_len + 1):
         for eta, s_eta in s_levels[ke]:
-            q_eta = alg.s_star(eta) * s_eta
+            q_eta = mul(alg.s_star(eta), s_eta)
+            row = rows[eta[-1] - 1]
             for ka in range(1, max_state_len + 1):
                 for a, s_a in s_levels[ka]:
-                    rhs = s_a if alg.matrix.entry(eta[-1], a[0]) else alg.zero
+                    rhs = s_a if row[a[0] - 1] else zero
                     _record_case(
-                        report, _unequal(alg, q_eta * s_a, rhs),
+                        report, () if equal(mul(q_eta, s_a), rhs) else ({},),
                         ("relation", "eta", "alpha"), ("support_absorption", eta, a),
                     )
 
     for m in range(1, max_word_len + 1):
         resolution = CKElement(alg, {Monomial(wd, wd): 1 for wd in alg.words(m)})
         _record_case(
-            report, _unequal(alg, resolution, alg.identity),
+            report, () if equal(resolution, alg.identity) else ({},),
             ("relation", "m"), ("depth_resolution", m),
         )
 
@@ -977,7 +1006,7 @@ def verify_witness_decomposition(
                     ] + [
                         {"kind": "not_partial_isometry", "block": key}
                         for key, units in blocks.items()
-                        if not _is_partial_permutation(units)
+                        if units and not _is_partial_permutation(units)
                     ]
                     _record_case(
                         report, mismatches, ("alpha", "beta", "i", "l"), (alpha, beta, i, l)

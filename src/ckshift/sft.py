@@ -50,8 +50,20 @@ class SymbolOutOfRangeError(ValueError):
 
 
 class TooManyWordsError(ValueError):
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"{_fmt_count(count)} words exceed the enumeration cap of {cap}")
+    """More admissible words of some length than a cap allows.
+
+    ``count`` is the exact number of words, or None when it was not
+    counted: its bound passed ``_EXACT_COUNT_BITS`` bits, and a shorter
+    length already had more words than the cap.  The message then names
+    the ``length`` instead of the count.
+    """
+
+    def __init__(self, count: int | None, cap: int, length: int | None = None):
+        if count is None:
+            words = f"the words of length {_fmt_count(length)}"
+        else:
+            words = f"{_fmt_count(count)} words"
+        super().__init__(f"{words} exceed the enumeration cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -77,11 +89,44 @@ def _admissible(rows, word: Word) -> bool:
     return all(rows[a - 1][b - 1] for a, b in zip(word, word[1:]))
 
 
+# the most bits that the bound on w(k) may have for ``_check_cap`` to count
+# w(k) exactly; past it the count alone takes seconds, and writing out its
+# digits for the error far longer
+_EXACT_COUNT_BITS = 2**18
+
+
+def _check_cap(mat: TransitionMatrix, k: int, cap: int) -> None:
+    """Raise TooManyWordsError when w(k), the number of admissible words of
+    length k >= 1, exceeds ``cap``.
+
+    w(k) has at most log2 n + (k - 1) log2(max row sum) bits.  While that
+    bound is at most ``_EXACT_COUNT_BITS``, w(k) is counted exactly and the
+    error gives it.  Past it, w(j) is counted at j = 1, 2, 4, ... and at k,
+    and the first count over the cap refuses, with ``count`` None.  No row
+    is zero, so every word extends and w is nondecreasing in k: w(k) is over
+    the cap exactly when one of these counts is.
+    """
+    top = max(map(len, mat.successors))
+    if top == 1 or k - 1 <= (_EXACT_COUNT_BITS - math.log2(mat.n)) / math.log2(top):
+        count = word_count(mat, k)
+        if count > cap:
+            raise TooManyWordsError(count, cap)
+        return
+    j = 1
+    while True:
+        if word_count(mat, j) > cap:
+            raise TooManyWordsError(None, cap, k)
+        if j == k:
+            return
+        j = min(2 * j, k)
+
+
 def enumerate_words(mat: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list[Word]:
     """All admissible words of length k, lexicographically sorted.
 
-    Raises TooManyWordsError when the count (known exactly in advance from
-    ``word_count``) would exceed ``cap``.
+    Raises TooManyWordsError when the count would exceed ``cap``; see
+    ``_check_cap``, which counts exactly in advance unless the count is too
+    long to be worth writing out, and then refuses without it.
 
     Built one length at a time: extending a sorted list word by word, each
     through its ascending successor list, keeps it sorted.  No recursion, so
@@ -89,9 +134,7 @@ def enumerate_words(mat: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list[
     """
     if k < 1:
         raise ValueError("word length must be >= 1")
-    count = word_count(mat, k)
-    if count > cap:
-        raise TooManyWordsError(count, cap)
+    _check_cap(mat, k, cap)
     successors = mat.successors
     level = [(s,) for s in range(1, mat.n + 1)]
     for _ in range(k - 1):
@@ -208,13 +251,12 @@ def partition_entropy(pd: ParryData, n: int, cap: int = WORD_CAP) -> float:
     H(stationary) + (n - 1) h, with h the entropy rate (Walters, *An
     Introduction to Ergodic Theory*, Markov shifts); ``stationary`` is
     stationary for ``stochastic`` by ParryData's invariant.  ``cap`` still
-    bounds the number of cylinders, as for an enumeration.
+    bounds the number of cylinders, as for an enumeration, through
+    ``_check_cap``.
     """
     if n < 1:
         raise ValueError("partition depth must be >= 1")
-    count = word_count(_support(pd), n)
-    if count > cap:
-        raise TooManyWordsError(count, cap)
+    _check_cap(_support(pd), n, cap)
     h0 = -sum(p * math.log(p) for p in pd.stationary if p > 0.0)
     return h0 + (n - 1) * markov_entropy(pd)
 

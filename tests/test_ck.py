@@ -28,6 +28,7 @@ from ckshift import matrix
 from ckshift.matrix import TransitionMatrix, parse_matrix
 
 from conftest import random_degree_zero, random_monomial, seeded
+from dense_witness_oracle import product
 
 DATA = Path(__file__).parent / "data"
 
@@ -488,6 +489,68 @@ class TestRelationSuite:
         }
         text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
         assert text == (DATA / "verify_relations_golden_2_2_unequal.json").read_text()
+
+
+# coefficients whose products cancel (1/2 - 1/2) and come out integral (1/2 * 2)
+NORMAL_FORM_COEFFS = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), 2, -2, 1)
+
+
+def _assert_normal(x):
+    """No stored coefficient is 0, and an integral one is an int."""
+    for c in x.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _mixed_element(alg, rng):
+    """One to three random monomials over a few shared words, each with a
+    coefficient from NORMAL_FORM_COEFFS, so that terms meet and cancel."""
+    x = alg.zero
+    for _ in range(rng.randrange(1, 4)):
+        x = x + rng.choice(NORMAL_FORM_COEFFS) * random_monomial(alg, rng, max_len=2)
+    return x
+
+
+class TestNormalForm:
+    def test_every_producer_stores_normal_form(self, golden_alg, full2_alg, full3_alg, random3_alg):
+        rng = seeded(331)
+        pairs = cancelled = integral = 0
+        for alg in (golden_alg, random3_alg, full2_alg, full3_alg):
+            for _ in range(300):
+                x, y = _mixed_element(alg, rng), _mixed_element(alg, rng)
+                xy = x * y
+                # the oracle shares no code with the algebra's product
+                assert xy == product(alg, x, y)
+                if x.terms and y.terms and not xy.terms:
+                    cancelled += 1
+                fractional = any(type(c) is Fraction for c in (*x.terms.values(), *y.terms.values()))
+                integral += fractional and any(type(c) is int for c in xy.terms.values())
+                for z in (xy, alg.shift(x, 1), x.adjoint(), -x, x + y, x.refined(3)):
+                    _assert_normal(z)
+                pairs += 1
+        assert pairs == 1200
+        assert cancelled and integral
+
+    def test_empty_product_is_the_zero(self, golden_alg):
+        # P_1 P_2 has no term at all
+        assert golden_alg.p(1) * golden_alg.p(2) is golden_alg.zero
+
+    def test_cancelling_product(self, golden_alg):
+        # (1 - P_1 - P_2) S_1 = S_1 - S_1 + 0: the one term cancels to 0
+        x = golden_alg.identity - golden_alg.p(1) - golden_alg.p(2)
+        assert x.terms
+        s1 = golden_alg.s((1,))
+        assert (x * s1).terms == {}
+        assert product(golden_alg, x, s1).terms == {}
+
+    def test_integral_fraction_products_are_ints(self, full2_alg):
+        half, two = Fraction(1, 2) * full2_alg.s((1,)), 2 * full2_alg.s_star((1,))
+        for z in (half * two, two * half, half * (2 * full2_alg.p(1))):
+            assert z.terms and all(type(c) is int for c in z.terms.values())
+            _assert_normal(z)
+        # 1/2 S_1 (2 S_1*) = P_1, 2 S_1* (1/2 S_1) = Q_1 = P_1 + P_2
+        assert half * two == full2_alg.p(1)
+        assert two * half == full2_alg.q(1)
 
 
 def _residual_over_tol(alg, monkeypatch):

@@ -360,6 +360,25 @@ class TestWords:
         assert rest == "words exceed the enumeration cap of 10000000\n"
         assert is_power_of_two(digits, 15000)
 
+    @pytest.mark.parametrize("argv", [
+        ["words", "--k-max", "10000000"],
+        ["verify-lemma2", "--n0", "1", "--n", "99999999999999999999"],
+    ], ids=["words", "verify-lemma2"])
+    def test_deep_cap_refused_at_once(self, capsys, monkeypatch, argv):
+        # the cap is decided from counts of short lengths only: w(k) itself
+        # would take seconds to count and far longer to print
+        real = sft.word_count
+
+        def spy(mat, k):
+            assert k <= 2**20, f"counted w({k})"
+            return real(mat, k)
+
+        monkeypatch.setattr(sft, "word_count", spy)
+        code, out, err = run(capsys, argv + ["--matrix", str(DATA / "golden.txt")])
+        k = 10**7 if argv[0] == "words" else 10**20
+        assert (code, out) == (2, "")
+        assert err == f"error: the words of length {k} exceed the enumeration cap of 10000000\n"
+
     def test_deep_cycle_exits_0(self, capsys, perm_file):
         code, out, err = run(capsys, ["words", "--matrix", perm_file, "--k-max", "2000"])
         assert code == 0

@@ -74,6 +74,72 @@ class TestEnumerateWords:
         assert words == [(1, 2) * 1000, (2, 1) * 1000]
 
 
+def _shallow_counts(monkeypatch):
+    """Spy on ``word_count`` as ``sft`` binds it: the lengths it counts, in
+    order; counting any length above 2^20 fails at once."""
+    real, lengths = sft.word_count, []
+
+    def spy(mat, k):
+        lengths.append(k)
+        assert k <= 2**20, f"counted w({k})"
+        return real(mat, k)
+
+    monkeypatch.setattr(sft, "word_count", spy)
+    return lengths
+
+
+def _deep_message(k, cap=10_000_000):
+    return f"the words of length {k} exceed the enumeration cap of {cap}"
+
+
+class TestDeepCap:
+    @pytest.mark.parametrize("k", [10**6, 10**7, 99999999999999999999])
+    def test_words_refused_without_the_count(self, golden_mean, monkeypatch, k):
+        lengths = _shallow_counts(monkeypatch)
+        with pytest.raises(TooManyWordsError) as exc:
+            enumerate_words(golden_mean, k)
+        assert (exc.value.count, exc.value.cap, str(exc.value)) == (None, 10**7, _deep_message(k))
+        # lengths doubling from 1 up to the first count over the cap
+        assert lengths == [2**e for e in range(len(lengths))]
+        assert word_count(golden_mean, lengths[-1]) > 10**7 >= word_count(golden_mean, lengths[-2])
+
+    def test_partition_refused_without_the_count(self, golden_mean, monkeypatch):
+        pd = parry_measure(golden_mean)
+        _shallow_counts(monkeypatch)
+        with pytest.raises(TooManyWordsError, match=f"^{_deep_message(10**7)}$") as exc:
+            partition_entropy(pd, 10**7)
+        assert exc.value.count is None
+
+    def test_exact_count_up_to_the_bound(self, full2, monkeypatch):
+        # full2 has w(k) = 2^k: the bound log2 2 + (k - 1) log2 2 = k bits
+        # stays exact up to k = 2^18 and refuses by doubling past it
+        lengths = _shallow_counts(monkeypatch)
+        with pytest.raises(TooManyWordsError) as exc:
+            enumerate_words(full2, 2**18)
+        assert exc.value.count == 2 ** (2**18)
+        assert lengths == [2**18]
+        with pytest.raises(TooManyWordsError, match=f"^{_deep_message(2**18 + 1)}$") as exc:
+            enumerate_words(full2, 2**18 + 1)
+        assert exc.value.count is None
+
+    def test_slow_growth_is_counted_to_the_end(self, monkeypatch):
+        # 1^a 2^(k - a): k + 1 words, under a cap that a deep k passes
+        upper = validate([[1, 1], [0, 1]])
+        lengths = _shallow_counts(monkeypatch)
+        sft._check_cap(upper, 300_000, 10**6)
+        assert lengths == [2**e for e in range(19)] + [300_000]
+        with pytest.raises(TooManyWordsError, match=f"^{_deep_message(300_000, 1000)}$"):
+            enumerate_words(upper, 300_000, cap=1000)
+
+    def test_one_successor_per_row_counts_exactly(self, monkeypatch):
+        # w(k) = n for every k: the bound is log2 n, however deep k is
+        cycle = validate([[0, 1], [1, 0]])
+        lengths = _shallow_counts(monkeypatch)
+        with pytest.raises(TooManyWordsError, match="^2 words exceed the enumeration cap of 1$"):
+            enumerate_words(cycle, 2**20, cap=1)
+        assert lengths == [2**20]
+
+
 class TestParryMeasure:
     def test_golden_mean_values(self, golden_mean):
         pd = parry_measure(golden_mean)
