@@ -3,8 +3,10 @@
 A transition matrix is a square 0/1 matrix with no zero row and no zero
 column.  The ``IntMatrix`` and ``TransitionMatrix`` constructors check their
 grid, so an instance meets these rules however it was built; ``validate``
-and ``validate_int`` are those constructors.  Symbols are numbered 1..n in
-every public interface; the entry grid itself is stored 0-indexed.
+and ``validate_int`` are those constructors, and ``_from_successors``
+builds a transition matrix from its successor lists under the same rules,
+checked in O(n + |E|).  Symbols are numbered 1..n in every public
+interface; the entry grid itself is stored 0-indexed.
 Everything combinatorial (matrix powers, word counts) is computed in exact
 arbitrary-precision integer arithmetic.
 A word count w(k) = 1^T A^(k-1) 1 takes one of two exact routes, chosen by
@@ -14,9 +16,14 @@ with a single successor costs it one read of a C-level ``itemgetter``
 gather), each count summed through the in-degrees over only the states
 entered more than once, or the minimal recurrence of the counts themselves
 (Berlekamp-Massey, checked exactly) with x^(k-1) taken modulo its
-polynomial by binary powering.  For fewer than (d + 1) / 2 counts from a
-recurrence of order d, the powering stops at x^h, h = (k-1) // 2, and the
-counts restart at w(h + 1): that skips the top squaring, the dearest step.
+polynomial by binary powering.  Each bit squares the remainder by
+Karatsuba's split, 3^ceil(log2 d) squares of its coefficients where the
+schoolbook takes d squares and d(d - 1)/2 products; the schoolbook is the
+base case, for d = 1 or coefficients under ``_SPLIT_BITS`` bits.  For
+fewer than (d + 1) / 2 counts from a recurrence of order d, the powering
+stops at x^h, h = (k-1) // 2, and the counts restart at w(h + 1): that
+skips the top squaring, the dearest step.  Past the first d counts, each
+comes from p itself, w(k + d) = -sum_j q_j w(k + j).
 When Berlekamp-Massey fails its exact check at one modulus, the cost model
 prices the next modulus against walking on before it is tried.
 The Perron vectors are found in floating point (power iteration, with
@@ -186,6 +193,36 @@ class TransitionMatrix(IntMatrix):
         return tuple(
             tuple(i + 1 for i in range(n) if self.entries[i][j]) for j in range(n)
         )
+
+
+def _from_successors(successors) -> TransitionMatrix:
+    """The transition matrix whose row i has its 1s at the symbols of the
+    tuple successors[i - 1], each in 1..n for n = len(successors), checked
+    in O(n + |E|) and not cell by cell.  A grid built from such lists is
+    square with 0/1 entries, so only an empty grid, a zero row or a zero
+    column can break the rules; they raise as ``validate`` does, the first
+    zero row before the first zero column.  The tuples become the matrix's
+    ``successors``."""
+    n = len(successors)
+    if not n:
+        raise NotSquareError("matrix has no rows")
+    successors = tuple(successors)
+    for i, succ in enumerate(successors, start=1):
+        if not succ:
+            raise ZeroRowError(i)
+    entered = set(itertools.chain.from_iterable(successors))
+    if len(entered) < n:
+        raise ZeroColumnError(min(set(range(1, n + 1)) - entered))
+    rows = []
+    for succ in successors:
+        row = [0] * n
+        for j in succ:
+            row[j - 1] = 1
+        rows.append(tuple(row))
+    mat = object.__new__(TransitionMatrix)
+    object.__setattr__(mat, "entries", tuple(rows))
+    mat.__dict__["successors"] = successors
+    return mat
 
 
 @dataclass(frozen=True)
@@ -458,22 +495,58 @@ def _times_x(r: list[int], taps) -> list[int]:
     return r
 
 
+# ``_square`` squares by the schoolbook when every coefficient is shorter
+# than this many bits: below it, for d up to 12, the split's extra squares
+# and additions cost more than the products they save
+_SPLIT_BITS = 2048
+
+
+def _square(r: list[int]) -> list[int]:
+    """The 2d - 1 coefficients of r(x)^2, for r given by its d coefficients,
+    constant first.
+
+    Karatsuba's split (Karatsuba & Ofman, 1962): with r = lo + x^h hi and
+    h = ceil(d / 2), r^2 = lo^2 + x^h ((lo + hi)^2 - lo^2 - hi^2) +
+    x^(2h) hi^2, three squares of half the length, so a long remainder
+    costs 3^ceil(log2 d) squares of its coefficients, where the schoolbook
+    takes d squares and d(d - 1)/2 products; CPython squares an int in
+    about 0.6 of a product's time.  The split adds O(d) additions per
+    level, and lo + hi is one bit longer than its halves.  The base case
+    is the schoolbook, for d = 1, or when every coefficient is under
+    ``_SPLIT_BITS`` bits: so a short remainder, as in the first bits of a
+    powering, costs what it did before the split."""
+    d = len(r)
+    if d > 1 and max(max(r).bit_length(), min(r).bit_length()) >= _SPLIT_BITS:
+        h = (d + 1) // 2
+        low, high = r[:h], r[h:]
+        mid = _square([*map(operator.add, low, high), *low[len(high) :]])
+        low, high = _square(low), _square(high)
+        sq = low + [0] + high
+        cross = map(operator.sub, map(operator.sub, mid, low), high + [0, 0])
+        sq[h : 3 * h - 1] = map(operator.add, sq[h : 3 * h - 1], cross)
+        return sq
+    sq = [0] * (2 * d - 1)
+    for i, a in enumerate(r):
+        if a:
+            sq[2 * i] += a * a
+            lo, hi = 2 * i + 1, i + d
+            twice = map((a + a).__mul__, r[i + 1 :])
+            sq[lo:hi] = map(operator.add, sq[lo:hi], twice)
+    return sq
+
+
 def _x_power(e: int, taps, d: int) -> list[int]:
     """x^e mod p by binary powering (Fiduccia, SIAM J. Comput. 14, 1985):
-    each bit squares the remainder, d(d+1)/2 products, and reduces the
-    square by the recurrence, one product per tap for each of its d - 1
-    high coefficients.  The last squaring is the largest, its operands half
-    the size of the result; ``_word_counts`` powers only to half of a deep
+    each bit squares the remainder by ``_square``, 3^ceil(log2 d) squares
+    of its coefficients once they reach ``_SPLIT_BITS`` bits and the
+    schoolbook's d(d+1)/2 products below that, and reduces the square by
+    the recurrence, one product per tap for each of its d - 1 high
+    coefficients.  The last squaring is the largest, its operands half the
+    size of the result; ``_word_counts`` powers only to half of a deep
     exponent when 2K < d + 1 counts make that squaring the dearer step."""
     r = [1] + [0] * (d - 1)
     for bit in bin(e)[2:]:
-        sq = [0] * (2 * d - 1)
-        for i, a in enumerate(r):
-            if a:
-                sq[2 * i] += a * a
-                lo, hi = 2 * i + 1, i + d
-                twice = map((a + a).__mul__, r[i + 1 :])
-                sq[lo:hi] = map(operator.add, sq[lo:hi], twice)
+        sq = _square(r)
         for i in range(2 * d - 2, d - 1, -1):
             c = sq[i]
             if c:
@@ -508,7 +581,8 @@ def _recurrence_pays(
       (k_min - 1) // n count (when ``_word_counts`` stops the powering at
       half the exponent, its restart costs the n^2 products of the bit it
       saves); and spends 2n per further count (a shift by x and a dot
-      product).
+      product for the first d, and past them one dot product of p's d
+      coefficients with the last d counts, left at the same price).
     ``_word_counts`` tries only the moduli this model prices below the
     walk.  Once one has failed its exact check, the 2n set-up steps are in
     hand on both routes, so they cancel, and so does the failed attempt,
@@ -557,15 +631,20 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     once, by one more gather, not a sum over all n states.  The recurrence
     walks only to s_j = w(j + 1) for j < 2n, finds their minimal
     polynomial p of degree d <= n (``_minimal_recurrence``), and gives
-    w(k) = sum_j r_j s_j with r = x^(k-1) mod p, so a deep k_min costs d^2
-    products per bit of k_min.  Each later count shifts r by x.
+    w(k) = sum_j r_j s_j with r = x^(k-1) mod p (``_x_power``), so a deep
+    k_min costs, per bit of k_min, one square of r by ``_square``,
+    3^ceil(log2 d) squares of its coefficients by Karatsuba's split (the
+    schoolbook's d(d+1)/2 products while they are under ``_SPLIT_BITS``
+    bits), and its reduction by p.  Each of the next counts, up to the
+    first d, shifts r by x, and every count after those comes from p
+    itself, w(k + d) = -sum_j q_j w(k + j): one C-level dot product.
     When fewer than (d + 1) / 2 counts are asked for (2K < d + 1, with
-    K = k_max - k_min + 1), the top squaring of that powering, d(d+1)/2
-    products of half-size remainders, costs more than the counts do, so
-    it is skipped: r = x^h mod p for h = (k_min - 1) // 2 gives the d
-    counts t_i = w(h + i + 1) = sum_j r_j s_(i+j), d^2 products of a
-    half-size r_j by a short s, and the counts go on from t with r, or
-    x r when k_min - 1 is odd, at d half-size products each.
+    K = k_max - k_min + 1), the top squaring of that powering, the square
+    of a half-size remainder, costs more than the counts do, so it is
+    skipped: r = x^h mod p for h = (k_min - 1) // 2 gives the d counts
+    t_i = w(h + i + 1) = sum_j r_j s_(i+j), d^2 products of a half-size
+    r_j by a short s, and the counts go on from t with r, or x r when
+    k_min - 1 is odd, at d half-size products each.
     p annihilates the counts but not always the vectors A^j 1, so this
     route yields counts only, never the vector A^(k-1) 1.
     """
@@ -596,9 +675,12 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
             else:
                 r = _x_power(k_min - 1, taps, d)
             counts = []
-            for _ in range(k_min, k_max + 1):
+            for _ in range(min(k_max - k_min + 1, d)):
                 counts.append(sum(map(operator.mul, r, s)))
                 r = _times_x(r, taps)
+            # the rest from p itself: w(k + d) = -sum_j q_j w(k + j)
+            for i in range(k_max - k_min + 1 - d):
+                counts.append(-sum(map(operator.mul, q, counts[i : i + d])))
             return counts
         walk = itertools.chain(s, walk)
     return list(itertools.islice(walk, k_min - 1, k_max))

@@ -9,14 +9,17 @@ convention 0 log 0 = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .matrix import (
     MatrixError,
     NotIrreducibleError,
+    NotSquareError,
     TransitionMatrix,
     _fmt_count,
+    _from_successors,
     _word_counts,
     spectral_radius,
     word_count,
@@ -240,7 +243,20 @@ def markov_entropy(pd: ParryData) -> float:
 
 
 def _support(pd: ParryData) -> TransitionMatrix:
-    return TransitionMatrix([[int(p > 0.0) for p in row] for row in pd.stochastic])
+    """The 0/1 matrix of the positive cells of ``pd.stochastic``, from its
+    successor lists: ``itertools.compress`` finds a row's nonzero cells in
+    C and only those are compared with 0.0, and ``_from_successors``
+    checks the lists in O(n + |E|).  A zero row or column raises as
+    ``validate`` does."""
+    rows = pd.stochastic
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise NotSquareError(f"matrix is {n}x{len(row)}, expected square")
+    symbols = range(1, n + 1)
+    return _from_successors(
+        [tuple(j for j in itertools.compress(symbols, row) if row[j - 1] > 0.0) for row in rows]
+    )
 
 
 def partition_entropy(pd: ParryData, n: int, cap: int = WORD_CAP) -> float:

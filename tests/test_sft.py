@@ -8,6 +8,7 @@ import pytest
 from ckshift import (
     MatrixError,
     NotIrreducibleError,
+    ParryData,
     SymbolOutOfRangeError,
     TooManyWordsError,
     cylinder_probability,
@@ -23,7 +24,13 @@ from ckshift import (
     word_count,
 )
 
-from conftest import enum_partition_entropy, product_count, random_irreducible, seeded
+from conftest import (
+    chord_cycle,
+    enum_partition_entropy,
+    product_count,
+    random_irreducible,
+    seeded,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 LOG_PHI = math.log(PHI)
@@ -286,6 +293,46 @@ class TestPartitionEntropy:
         # far past the interpreter's default recursion limit of 1000
         pd = parry_measure(perm2)
         assert abs(partition_entropy(pd, 2000) - math.log(2)) <= 1e-12
+
+    @staticmethod
+    def dense_support(pd):
+        return validate([[int(p > 0.0) for p in row] for row in pd.stochastic])
+
+    def test_support_is_the_positive_cells(self, golden_mean, full3, random3):
+        rng = seeded(2501)
+        mats = [golden_mean, full3, random3, validate(chord_cycle(120, 3, seeded(1)))]
+        pds = [parry_measure(m) for m in mats + [random_irreducible(rng, 9)]]
+        # by hand: -0.0, a negative cell and a nan are not positive
+        stochastic = ((0.5, -0.0, 0.5), (-1.0, 2.0, 0.0), (1.0, math.nan, 1e-300))
+        pds.append(ParryData(1.0, stochastic, (1 / 3,) * 3))
+        for pd in pds:
+            support = sft._support(pd)
+            assert support == self.dense_support(pd)
+            assert support.successors == self.dense_support(pd).successors
+        assert sft._support(pds[-1]).successors == ((1, 3), (2,), (1, 3))
+
+    @pytest.mark.parametrize(
+        "stochastic",
+        [
+            ((0.5, 0.5), (0.0, 0.0)),  # zero row
+            ((1.0, 0.0), (1.0, -0.0)),  # zero column
+            ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),  # both: the row is named
+            ((0.0, 1.0), (1.0, math.nan)),  # no fault: the nan is not a cell
+            ((1.0,), (1.0, 0.0)),  # ragged
+            (),
+        ],
+    )
+    def test_hand_built_support_raises_as_validate(self, stochastic):
+        pd = ParryData(1.0, stochastic, (1.0,) * len(stochastic))
+        try:
+            want = self.dense_support(pd)
+        except MatrixError as exc:
+            with pytest.raises(type(exc)) as got:
+                partition_entropy(pd, 3)
+            assert str(got.value) == str(exc)
+            assert vars(got.value) == vars(exc)
+        else:
+            assert sft._support(pd) == want
 
 
 class TestEntropyEstimates:

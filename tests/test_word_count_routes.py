@@ -282,3 +282,57 @@ def test_order_one_count_powers_the_whole_exponent(monkeypatch):
     exponents = powered(monkeypatch)
     assert word_count(validate(FULL3_ROWS), k) == 3**k
     assert exponents == [k - 1]
+
+
+def schoolbook_square(r):
+    """The coefficients of r(x)^2, each summed over its pairs directly."""
+    d = len(r)
+    return [
+        sum(r[i] * r[m - i] for i in range(max(0, m - d + 1), min(m, d - 1) + 1))
+        for m in range(2 * d - 1)
+    ]
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_square_is_the_schoolbook_square(d):
+    # coefficient sizes on both sides of the split's cutoff, in one
+    # polynomial and across polynomials; zeros and negative coefficients
+    rng = seeded(2500 + d)
+    cut = matrix._SPLIT_BITS
+    for bits in (8, cut - 1, cut, cut + 1, 3 * cut):
+        for zeros in (0.0, 0.3):
+            r = [
+                0 if rng.random() < zeros else rng.choice((1, -1)) * rng.getrandbits(bits)
+                for _ in range(d)
+            ]
+            r[rng.randrange(d)] = rng.choice((1, -1)) << (bits - 1)  # one of exactly `bits`
+            assert matrix._square(r) == schoolbook_square(r), (d, bits, zeros)
+    mixed = [rng.getrandbits(rng.choice((8, cut - 1, 2 * cut))) for _ in range(d)]
+    assert matrix._square(mixed) == schoolbook_square(mixed)
+    assert matrix._square([0] * d) == [0] * (2 * d - 1)
+
+
+def test_deep_count_squares_by_the_split(monkeypatch):
+    # the matrix of test_deep_count_powers_to_half_the_exponent: its
+    # remainders pass the cutoff, so squares of half their length are taken
+    k = 40_000
+    mat = random_irreducible(seeded(1902), 8, density=0.6, force_loop=True)
+    d = order(mat)
+    lengths = []
+    real = matrix._square
+    monkeypatch.setattr(matrix, "_square", lambda r: lengths.append(len(r)) or real(r))
+    assert word_count(mat, k) == oracle_count(mat, k)
+    assert max(lengths) == d and min(lengths) < d
+
+
+@pytest.mark.parametrize("index", range(len(SEEDED)))
+def test_counts_past_the_first_d_from_p(monkeypatch, index):
+    # the first d counts come from the remainder, the rest from p itself:
+    # every K up to past 3d, so the extension crosses the first-d boundary
+    mat = SEEDED[index]
+    d = order(mat)
+    route(monkeypatch, "recurrence")
+    for k_min in (1, d + 1, 2 * d + 1, 1000):
+        want = oracle_counts(mat, k_min + 3 * d + 1, k_min)
+        for count in range(1, 3 * d + 3):
+            assert _word_counts(mat, k_min + count - 1, k_min) == want[:count], (mat, k_min)
