@@ -2,11 +2,12 @@
 
 A transition matrix is a square 0/1 matrix with no zero row and no zero
 column.  The ``IntMatrix`` and ``TransitionMatrix`` constructors check their
-grid, so an instance meets these rules however it was built; ``validate``
-and ``validate_int`` are those constructors, and ``_from_successors``
-builds a transition matrix from its successor lists under the same rules,
-checked in O(n + |E|).  Symbols are numbered 1..n in every public
-interface; the entry grid itself is stored 0-indexed.
+grid, and no other path makes a matrix, so an instance meets these rules
+however it was built; ``validate`` and ``validate_int`` are those
+constructors.  The check keeps each row's nonzero columns, which become
+``successors``; ``predecessors`` is built from the successors in
+O(n + |E|).  Symbols are numbered 1..n in every public interface; the
+entry grid itself is stored 0-indexed.
 Everything combinatorial (matrix powers, word counts) is computed in exact
 arbitrary-precision integer arithmetic.
 A word count w(k) = 1^T A^(k-1) 1 takes one of two exact routes, chosen by
@@ -124,7 +125,9 @@ class IntMatrix:
     The constructor checks the grid, so every instance meets these rules
     however it was built; it raises as ``validate`` documents.  The rows
     may be any iterables, and ``entries`` is stored as a tuple of tuples; a
-    row that is a tuple already is kept as the same object.
+    row that is a tuple already is kept as the same object.  The check keeps
+    each distinct row's nonzero columns as one tuple: the successor lists
+    of a ``TransitionMatrix``.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -136,27 +139,29 @@ class IntMatrix:
         n = len(grid)
         if not n:
             raise NotSquareError("matrix has no rows")
+        symbols = range(1, n + 1)
         # one pass, in row order, over the distinct row objects: a row shared
-        # by many states (as in the A' of ``dual_matrix``) is checked once
-        rows: dict[int, tuple[int, ...]] = {}
+        # by many states (as in the A' of ``dual_matrix``) is checked once,
+        # and its nonzero columns are kept as one tuple, shared as the row is
+        support: dict[int, tuple[int, ...]] = {}
         for i, row in enumerate(grid, start=1):
-            if id(row) in rows:
+            if id(row) in support:
                 continue
-            rows[id(row)] = row
             if len(row) != n:
                 raise NotSquareError(f"matrix is {n}x{len(row)}, expected square")
             if set(map(type, row)) != {int} or min(row) < 0 or max(row) > self._top:
                 for j, v in enumerate(row, start=1):
                     if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= self._top:
                         raise EntryOutOfRangeError(i, j, v, self._expected)
-            if not any(row):
+            cols = tuple(itertools.compress(symbols, row))
+            if not cols:
                 raise ZeroRowError(i)
-        zero_columns = range(n)
-        for row in rows.values():
-            zero_columns = [j for j in zero_columns if not row[j]]
-        if zero_columns:
-            raise ZeroColumnError(zero_columns[0] + 1)
+            support[id(row)] = cols
+        entered = set().union(*support.values())
+        if len(entered) < n:
+            raise ZeroColumnError(min(set(symbols) - entered))
         object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "_successors", tuple(support[id(row)] for row in grid))
 
     @property
     def n(self) -> int:
@@ -179,50 +184,22 @@ class TransitionMatrix(IntMatrix):
     _top = 1
     _expected = "0 or 1"
 
-    @cached_property
+    @property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """successors[i-1] lists the symbols j with entry (i, j) = 1."""
-        return tuple(
-            tuple(j + 1 for j, v in enumerate(row) if v) for row in self.entries
-        )
+        """successors[i-1] lists, in ascending order, the symbols j with
+        entry (i, j) = 1: the tuples the constructor's check kept, so rows
+        that are one object share one tuple."""
+        return self._successors
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """predecessors[j-1] lists the symbols i with entry (i, j) = 1."""
-        n = self.n
-        return tuple(
-            tuple(i + 1 for i in range(n) if self.entries[i][j]) for j in range(n)
-        )
-
-
-def _from_successors(successors) -> TransitionMatrix:
-    """The transition matrix whose row i has its 1s at the symbols of the
-    tuple successors[i - 1], each in 1..n for n = len(successors), checked
-    in O(n + |E|) and not cell by cell.  A grid built from such lists is
-    square with 0/1 entries, so only an empty grid, a zero row or a zero
-    column can break the rules; they raise as ``validate`` does, the first
-    zero row before the first zero column.  The tuples become the matrix's
-    ``successors``."""
-    n = len(successors)
-    if not n:
-        raise NotSquareError("matrix has no rows")
-    successors = tuple(successors)
-    for i, succ in enumerate(successors, start=1):
-        if not succ:
-            raise ZeroRowError(i)
-    entered = set(itertools.chain.from_iterable(successors))
-    if len(entered) < n:
-        raise ZeroColumnError(min(set(range(1, n + 1)) - entered))
-    rows = []
-    for succ in successors:
-        row = [0] * n
-        for j in succ:
-            row[j - 1] = 1
-        rows.append(tuple(row))
-    mat = object.__new__(TransitionMatrix)
-    object.__setattr__(mat, "entries", tuple(rows))
-    mat.__dict__["successors"] = successors
-    return mat
+        """predecessors[j-1] lists, in ascending order, the symbols i with
+        entry (i, j) = 1, built from the successors in O(n + |E|)."""
+        preds: list[list[int]] = [[] for _ in self.entries]
+        for i, succ in enumerate(self._successors, start=1):
+            for j in succ:
+                preds[j - 1].append(i)
+        return tuple(map(tuple, preds))
 
 
 @dataclass(frozen=True)
@@ -308,10 +285,10 @@ def is_irreducible(mat: TransitionMatrix) -> bool:
 
 
 def is_permutation(mat: TransitionMatrix) -> bool:
-    """True iff every row and every column contains exactly one 1."""
-    return all(len(row) == 1 for row in mat.successors) and all(
-        len(col) == 1 for col in mat.predecessors
-    )
+    """True iff every row and every column contains exactly one 1.  A
+    transition matrix has no zero column, so n rows with one 1 each cover
+    every column exactly once, and only the rows are read."""
+    return all(len(row) == 1 for row in mat.successors)
 
 
 def _matmul(a, b):

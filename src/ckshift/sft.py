@@ -9,17 +9,14 @@ convention 0 log 0 = 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .matrix import (
     MatrixError,
     NotIrreducibleError,
-    NotSquareError,
     TransitionMatrix,
     _fmt_count,
-    _from_successors,
     _word_counts,
     spectral_radius,
     word_count,
@@ -243,20 +240,12 @@ def markov_entropy(pd: ParryData) -> float:
 
 
 def _support(pd: ParryData) -> TransitionMatrix:
-    """The 0/1 matrix of the positive cells of ``pd.stochastic``, from its
-    successor lists: ``itertools.compress`` finds a row's nonzero cells in
-    C and only those are compared with 0.0, and ``_from_successors``
-    checks the lists in O(n + |E|).  A zero row or column raises as
-    ``validate`` does."""
-    rows = pd.stochastic
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise NotSquareError(f"matrix is {n}x{len(row)}, expected square")
-    symbols = range(1, n + 1)
-    return _from_successors(
-        [tuple(j for j in itertools.compress(symbols, row) if row[j - 1] > 0.0) for row in rows]
-    )
+    """The 0/1 matrix of the positive cells of ``pd.stochastic`` (a nan, a
+    negative or a -0.0 cell is not positive), checked by the
+    ``TransitionMatrix`` constructor: its check yields the successor
+    lists, and the predecessor lists come from those in O(n + |E|).  A
+    fault raises as ``validate`` does."""
+    return TransitionMatrix([[1 if p > 0.0 else 0 for p in row] for row in pd.stochastic])
 
 
 def partition_entropy(pd: ParryData, n: int, cap: int = WORD_CAP) -> float:

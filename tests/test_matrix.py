@@ -174,12 +174,58 @@ class TestConstructorChecks:
         with pytest.raises(ZeroColumnError) as exc:
             validate([[1, 0, 0], [1, 0, 0], [1, 0, 1]])
         assert exc.value.col == 2
+        # of several zero columns, the first
+        with pytest.raises(ZeroColumnError) as exc:
+            validate([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+        assert exc.value.col == 2
 
     def test_shared_row_reported_at_its_first_index(self):
         zero = (0, 0, 0)
         with pytest.raises(ZeroRowError) as exc:
             TransitionMatrix(((1, 1, 1), zero, zero))
         assert exc.value.row == 2
+
+
+class TestAdjacency:
+    """The successor lists the constructor's check keeps, and the
+    predecessor lists built from them, against their dense derivations."""
+
+    @staticmethod
+    def dense(entries):
+        n = len(entries)
+        succ = tuple(tuple(j + 1 for j in range(n) if row[j]) for row in entries)
+        pred = tuple(tuple(i + 1 for i in range(n) if entries[i][j]) for j in range(n))
+        return succ, pred
+
+    def test_lists_are_the_dense_support(self):
+        rng = seeded(2601)
+        mats = [validate([[1]]), validate([[1, 1], [0, 1]]), validate([[1, 0], [0, 1]])]
+        for _ in range(60):
+            n = rng.randrange(1, 12)
+            mats.append(validate(random_transition_rows(rng, n, rng.uniform(0.05, 0.9))))
+        mats += [cyclic_permutation(rng, n) for n in (1, 2, 7)]
+        mats += [validate(chord_cycle(120, 3, rng)), validate(cycle_with_loop(12))]
+        reducible = 0
+        for mat in mats:
+            succ, pred = self.dense(mat.entries)
+            assert mat.successors == succ and mat.predecessors == pred
+            assert all(type(row) is tuple for row in mat.successors + mat.predecessors)
+            assert is_permutation(mat) == all(len(x) == 1 for x in succ + pred)
+            reducible += not closure_strongly_connected(mat.entries)
+        assert reducible >= 10
+
+    def test_shared_rows_share_their_successors(self):
+        rng = seeded(2602)
+        ints = [[[3]], [[0, 2], [3, 1]], [[1, 1], [1, 0]]]
+        ints += [[[rng.randrange(1, 4) for _ in range(n)] for _ in range(n)] for n in (2, 3, 4)]
+        for rows in ints:
+            a_prime = dual_matrix(validate_int(rows)).a_prime
+            succ, pred = self.dense(a_prime.entries)
+            assert a_prime.successors == succ and a_prime.predecessors == pred
+            for r, row in enumerate(a_prime.entries):
+                for s, other in enumerate(a_prime.entries):
+                    shared = a_prime.successors[r] is a_prime.successors[s]
+                    assert shared == (row is other), (rows, r, s)
 
 
 class TestIrreducible:
@@ -510,6 +556,9 @@ class TestParsing:
         path = tmp_path / "m.txt"
         path.write_text("1 1\n1 0\n")
         assert load_matrix(str(path)).entries == ((1, 1), (1, 0))
+        # a blank or whitespace-only line between the rows is skipped
+        for text in ("1 1\n\n1 0\n", "1 1\n \t \n1 0\n"):
+            assert parse_matrix(text) == parse_matrix("1 1\n1 0\n")
 
     def test_json_format(self, tmp_path):
         path = tmp_path / "m.json"

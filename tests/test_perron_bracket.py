@@ -241,6 +241,21 @@ class TestPerronSeam:
             assert (list(pd.right), list(pd.left), pd.iterations) == stub
             _check_bracket(mat, pd, 1e-12)
 
+    def test_left_residual_alone_is_refused(self, monkeypatch):
+        # the true right vector and a left vector off by 1e-9 in one
+        # component: the certified bracket is the right vector's, so only
+        # the left residual can refuse the pair
+        mats = [validate(GOLDEN_ROWS), validate(RANDOM3_ROWS), validate(cycle_with_loop(12))]
+        for mat in mats:
+            pd = spectral_radius(mat)
+            left = list(pd.left)
+            left[0] += 1e-9
+            stub = (list(pd.right), left, pd.iterations)
+            with monkeypatch.context() as patch:
+                patch.setattr(_perron, "perron_vectors", lambda *args: stub)
+                with pytest.raises(NoConvergenceError, match=r"^Perron vector residual \d\.\d+e-09 "):
+                    spectral_radius(mat)
+
     def test_residual_over_the_adjacency_lists(self):
         # the seeded set of test_matrix's residual test: the float sums over
         # the successor and predecessor lists agree with a dense product

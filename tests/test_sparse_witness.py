@@ -439,12 +439,14 @@ def test_cancelled_terms_on_either_side_leave_the_report_unchanged(monkeypatch):
 
     def padded_cells(m, x):
         cells = real_cells(m, x)
-        w = len(alg.words(m))
-        free = next(key for key in itertools.product(range(w), repeat=2) if key not in cells)
+        # a key of the embedding's own making: a cell of the identity's
+        # embedding, the block diagonal, where x stores nothing
+        free = [key for key in real_cells(m, alg.identity) if key not in cells]
+        assert free
         for terms in cells.values():
             for mono, c in vanishing.terms.items():
                 terms[mono] = terms.get(mono, 0) + c
-        cells[free] = dict(vanishing.terms)
+        cells[free[0]] = dict(vanishing.terms)
         return cells
 
     monkeypatch.setattr(alg, "_embedding_cells", padded_cells)
