@@ -25,6 +25,7 @@ import os
 import sys
 
 from .matrix import (
+    NotIrreducibleError,
     _check_tol,
     _word_counts,
     dual_matrix,
@@ -100,21 +101,23 @@ def _cmd_validate(args) -> int:
 
 def _cmd_entropy(args) -> int:
     mat = load_matrix(args.matrix)
-    _check_tol(args.tol)  # the reducible branch never reaches spectral_radius
-    irreducible = is_irreducible(mat)
-    warnings = [] if irreducible else ["matrix is not irreducible"]
+    _check_tol(args.tol)  # a bad --tol wins over a bad --k-max
+    scale = _scale(args.base)
+    k = args.k_max
+    (last,) = _estimate_rows(mat, k, k_min=k)
+    warnings = []
+    log_radius = markov = None
+    try:
+        pd = parry_measure(mat, args.tol)
+    except NotIrreducibleError:
+        warnings.append("matrix is not irreducible")
+    else:
+        log_radius = math.log(pd.radius) / scale
+        markov = markov_entropy(pd) / scale
     if is_permutation(mat):
         warnings.append("matrix is a permutation")
     for w in warnings:
         sys.stderr.write(f"warning: {w}\n")
-    scale = _scale(args.base)
-    k = args.k_max
-    (last,) = _estimate_rows(mat, k, k_min=k)
-    log_radius = markov = None
-    if irreducible:
-        pd = parry_measure(mat, args.tol)
-        log_radius = math.log(pd.radius) / scale
-        markov = markov_entropy(pd) / scale
     ratio = last.ratio / scale
     growth = last.growth / scale
     if args.format == "json":

@@ -597,7 +597,9 @@ def _recurrence_pays(
 
 def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]:
     """[w(k_min), ..., w(k_max)], exactly, where w(k) = 1^T A^(k-1) 1
-    counts the admissible words of length k.
+    counts the admissible words of length k.  A k_min below 1 raises
+    ValueError: this is the one check of the word-length rule, which
+    ``word_count`` and ``sft.enumerate_words`` reach through it.
 
     Two exact routes; ``_recurrence_pays`` picks the cheaper.  The walk
     (``_walk_counts``) steps v <- A v over the successor lists by the
@@ -612,9 +614,10 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     k_min costs, per bit of k_min, one square of r by ``_square``,
     3^ceil(log2 d) squares of its coefficients by Karatsuba's split (the
     schoolbook's d(d+1)/2 products while they are under ``_SPLIT_BITS``
-    bits), and its reduction by p.  Each of the next counts, up to the
-    first d, shifts r by x, and every count after those comes from p
-    itself, w(k + d) = -sum_j q_j w(k + j): one C-level dot product.
+    bits), and its reduction by p.  The next counts, up to the first d,
+    read r, x r, x^2 r, ..., a shift by x between two counts, and every
+    count after those comes from p itself, w(k + d) = -sum_j q_j w(k + j):
+    one C-level dot product.
     When fewer than (d + 1) / 2 counts are asked for (2K < d + 1, with
     K = k_max - k_min + 1), the top squaring of that powering, the square
     of a half-size remainder, costs more than the counts do, so it is
@@ -653,8 +656,9 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
                 r = _x_power(k_min - 1, taps, d)
             counts = []
             for _ in range(min(k_max - k_min + 1, d)):
+                if counts:
+                    r = _times_x(r, taps)
                 counts.append(sum(map(operator.mul, r, s)))
-                r = _times_x(r, taps)
             # the rest from p itself: w(k + d) = -sum_j q_j w(k + j)
             for i in range(k_max - k_min + 1 - d):
                 counts.append(-sum(map(operator.mul, q, counts[i : i + d])))
@@ -669,9 +673,8 @@ def word_count(mat: TransitionMatrix, k: int) -> int:
     whichever the cost model in ``_recurrence_pays`` finds cheaper.  On the
     recurrence, a single count of order d >= 2 powers x only to
     (k - 1) // 2 and restarts the counts at w((k - 1) // 2 + 1), as
-    ``_word_counts`` does whenever 2K < d + 1."""
-    if k < 1:
-        raise ValueError("word length must be >= 1")
+    ``_word_counts`` does whenever 2K < d + 1.  A length below 1 raises
+    the ValueError of ``_word_counts``, which holds the word-length rule."""
     return _word_counts(mat, k, k)[0]
 
 

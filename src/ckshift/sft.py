@@ -97,25 +97,23 @@ _EXACT_COUNT_BITS = 2**18
 
 def _check_cap(mat: TransitionMatrix, k: int, cap: int) -> None:
     """Raise TooManyWordsError when w(k), the number of admissible words of
-    length k >= 1, exceeds ``cap``.
+    length k, exceeds ``cap``; a length below 1 raises the ValueError of
+    ``_word_counts``, which holds the word-length rule.
 
     w(k) has at most log2 n + (k - 1) log2(max row sum) bits.  While that
-    bound is at most ``_EXACT_COUNT_BITS``, w(k) is counted exactly and the
-    error gives it.  Past it, w(j) is counted at j = 1, 2, 4, ... and at k,
-    and the first count over the cap refuses, with ``count`` None.  No row
-    is zero, so every word extends and w is nondecreasing in k: w(k) is over
-    the cap exactly when one of these counts is.
+    bound is at most ``_EXACT_COUNT_BITS``, w(k) alone is counted, exactly,
+    and the error gives it.  Past it, w(j) is counted at j = 1, 2, 4, ...
+    and at k, and the first count over the cap refuses, with ``count``
+    None.  No row is zero, so every word extends and w is nondecreasing in
+    k: w(k) is over the cap exactly when one of these counts is.
     """
     top = max(map(len, mat.successors))
-    if top == 1 or k - 1 <= (_EXACT_COUNT_BITS - math.log2(mat.n)) / math.log2(top):
-        count = word_count(mat, k)
-        if count > cap:
-            raise TooManyWordsError(count, cap)
-        return
-    j = 1
+    exact = top == 1 or k - 1 <= (_EXACT_COUNT_BITS - math.log2(mat.n)) / math.log2(top)
+    j = k if exact else 1
     while True:
-        if word_count(mat, j) > cap:
-            raise TooManyWordsError(None, cap, k)
+        count = word_count(mat, j)
+        if count > cap:
+            raise TooManyWordsError(count if exact else None, cap, k)
         if j == k:
             return
         j = min(2 * j, k)
@@ -126,14 +124,14 @@ def enumerate_words(mat: TransitionMatrix, k: int, cap: int = WORD_CAP) -> list[
 
     Raises TooManyWordsError when the count would exceed ``cap``; see
     ``_check_cap``, which counts exactly in advance unless the count is too
-    long to be worth writing out, and then refuses without it.
+    long to be worth writing out, and then refuses without it.  A length
+    below 1 raises the ValueError of ``_word_counts``, which holds the
+    word-length rule, through that count.
 
     Built one length at a time: extending a sorted list word by word, each
     through its ascending successor list, keeps it sorted.  No recursion, so
     k is not bounded by the interpreter's recursion limit.
     """
-    if k < 1:
-        raise ValueError("word length must be >= 1")
     _check_cap(mat, k, cap)
     successors = mat.successors
     level = [(s,) for s in range(1, mat.n + 1)]

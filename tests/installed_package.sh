@@ -39,6 +39,11 @@ printf '1 1\n0 1\n' > "$RUNNER_TEMP/upper.txt"
 code=0
 ckshift entropy --matrix "$RUNNER_TEMP/upper.txt" --tol nan || code=$?
 test "$code" -eq 2
+# a bad --k-max is refused in its one error line, with no warning before it
+code=0
+ckshift entropy --matrix "$RUNNER_TEMP/upper.txt" --k-max 1 2> "$RUNNER_TEMP/upper_k1.err" || code=$?
+test "$code" -eq 2
+test "$(cat "$RUNNER_TEMP/upper_k1.err")" = "error: k_max must be >= 2"
 # [[1]]: the exact kernel and the walk each gather a single index
 printf '1\n' > "$RUNNER_TEMP/one.txt"
 code=0

@@ -1,4 +1,4 @@
-"""Reference power iteration: the loop ``matrix._power_loop`` ran, from the
+"""Reference power iteration: the loop ``_perron._power_loop`` ran, from the
 uniform start vector, before it carried the product m @ v from one step to
 the next.
 

@@ -223,9 +223,8 @@ class TestEntropy:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         code, _, _ = run(capsys, ["entropy", "--matrix", golden_file])
         assert code == 0
-        # one Perron computation; irreducibility once in the command and
-        # once inside that computation
-        assert sorted(calls) == ["is_irreducible", "is_irreducible", "spectral_radius"]
+        # one Perron computation, and irreducibility tested once, inside it
+        assert sorted(calls) == ["is_irreducible", "spectral_radius"]
 
     def test_deep_k_counts_only_its_two_words(self, capsys, monkeypatch, perm_file):
         # the walk stops after 10^4 lengths; a command that built the whole
@@ -865,6 +864,8 @@ CONTRACT_RUNS = [
     ["validate", "--format", "csv"],
     ["entropy", "--k-max", "2000"],
     ["entropy", "--format", "json", "--base", "bits"],
+    ["entropy", "--k-max", "1"],
+    ["entropy", "--k-max", "0", "--format", "json"],
     ["words", "--k-max", "3", "--format", "csv"],
     ["words", "--k-max", "2000"],
     ["parry", "--format", "json"],
@@ -880,8 +881,9 @@ CONTRACT_RUNS = [
 
 @pytest.mark.parametrize("argv", CONTRACT_RUNS, ids=" ".join)
 def test_exit_contract_over_seeded_matrices(capsys, tmp_path, argv):
-    """Every run exits 0 or 2, and 1 only under --inject-fault; stderr holds
-    warnings and at most one error line, never a traceback."""
+    """Every run exits 0 or 2, and 1 only under --inject-fault; on exit 2
+    stderr is exactly one error line, and otherwise it holds only warnings,
+    never a traceback."""
     fault = "--inject-fault" in argv
     for k, rows in enumerate(_contract_matrices()):
         path = tmp_path / f"m{k}.txt"
@@ -890,8 +892,8 @@ def test_exit_contract_over_seeded_matrices(capsys, tmp_path, argv):
         assert code in ((1, 2) if fault else (0, 2)), (rows, code, err)
         lines = err.splitlines()
         if code == 2:
-            assert lines and lines[-1].startswith("error: "), (rows, err)
-            lines = lines[:-1]
-        assert all(line.startswith("warning: ") for line in lines), (rows, err)
+            assert len(lines) == 1 and lines[0].startswith("error: "), (rows, err)
+        else:
+            assert all(line.startswith("warning: ") for line in lines), (rows, err)
         if code == 1:
             assert json.loads(out)["failures"]
