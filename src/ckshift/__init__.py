@@ -17,7 +17,8 @@ from .sft import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-# the public names of ``ck``, which loads on the first of them asked for
+# the public names of ``ck``, its ``__all__``, which loads on the first of
+# them asked for
 _CK_NAMES = (
     "InadmissibleWordError",
     "DepthTooSmallError",

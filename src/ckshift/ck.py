@@ -56,6 +56,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from . import _CK_NAMES
 from .matrix import TransitionMatrix, _matmul
 from .sft import (
     Word,
@@ -64,21 +65,7 @@ from .sft import (
     enumerate_words,
 )
 
-__all__ = [
-    "InadmissibleWordError",
-    "DepthTooSmallError",
-    "NonZeroDegreeError",
-    "DepthExceededError",
-    "WitnessPreconditionError",
-    "Monomial",
-    "CKElement",
-    "CuntzKriegerAlgebra",
-    "BlockMatrix",
-    "BlockDiagonal",
-    "VerificationReport",
-    "verify_relations",
-    "verify_witness_decomposition",
-]
+__all__ = list(_CK_NAMES)
 
 
 class InadmissibleWordError(ValueError):
@@ -828,24 +815,28 @@ class VerificationReport:
         return asdict(self)
 
 
-def _record_case(report: VerificationReport, mismatches, names: tuple, values: tuple) -> None:
-    """Enter one checked case into ``report``: the one step by which both
-    verifiers count a case, compare it, and record how it failed.
+def _report(params: dict, cases) -> VerificationReport:
+    """The report of ``cases``: the one step by which both verifiers count
+    a case, compare it, and record how it failed.
 
-    ``mismatches`` holds one dict of details per mismatch the comparison
-    finds (a tuple or a list), and is empty when the case holds.  Each mismatch appends one
-    failure record: the fields that name the case (``names`` paired with
+    Each case is ``(names, values, mismatches)``.  ``mismatches`` holds one
+    dict of details per mismatch the comparison finds (a tuple or a list),
+    and is empty when the case holds.  Each mismatch appends one failure
+    record: the fields that name the case (``names`` paired with
     ``values``), then the details, every word written as a list.  Records
-    are built here, for a mismatch only, in the order of ``mismatches``.  A
-    case without a mismatch counts as passed.
+    are built here, for a mismatch only, in the order of the cases and of
+    their mismatches.  A case without a mismatch counts as passed.
     """
-    report.cases += 1
-    report.passed += not mismatches
-    for detail in mismatches:
-        record = dict(zip(names, values), **detail)
-        report.failures.append(
-            {key: list(v) if type(v) is tuple else v for key, v in record.items()}
-        )
+    report = VerificationReport(0, 0, params=params)
+    for names, values, mismatches in cases:
+        report.cases += 1
+        report.passed += not mismatches
+        for detail in mismatches:
+            record = dict(zip(names, values), **detail)
+            report.failures.append(
+                {key: list(v) if type(v) is tuple else v for key, v in record.items()}
+            )
+    return report
 
 
 def verify_relations(
@@ -861,7 +852,7 @@ def verify_relations(
     words of equal length, absorption Q_eta S_alpha = A(eta o(alpha)) S_alpha,
     and the depth resolutions sum over length-m words of S_mu S_mu* = 1.
     Each instance of a relation is one case, decided by ``alg.equal`` and
-    entered into the report by ``_record_case``; a failed case leaves one
+    entered into the report by ``_report``; a failed case leaves one
     record, and the records come in the order above, each family in the
     order of its symbols and words.  Every element here comes from the
     algebra, so products go straight to ``alg._multiply``.
@@ -869,17 +860,24 @@ def verify_relations(
     ``inject_fault`` corrupts one coefficient of the unit decomposition, to
     exercise the failure reporting path.
     """
+    params = {"max_word_len": max_word_len, "max_state_len": max_state_len}
+    return _report(params, _relation_cases(alg, max_word_len, max_state_len, inject_fault))
+
+
+def _relation_cases(alg: CuntzKriegerAlgebra, max_word_len, max_state_len, inject_fault):
+    """Yield the cases of ``verify_relations`` in its order, each as
+    ``_report`` takes it."""
     n, rows, mul, equal, zero = alg.n, alg._rows, alg._multiply, alg.equal, alg.zero
-    report = VerificationReport(
-        0, 0, params={"max_word_len": max_word_len, "max_state_len": max_state_len}
-    )
+
+    def case(names, values, lhs, rhs):
+        return names, values, () if equal(lhs, rhs) else ({},)
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             rhs = alg.p(i) if i == j else zero
-            _record_case(
-                report, () if equal(mul(alg.p(i), alg.p(j)), rhs) else ({},),
+            yield case(
                 ("relation", "i", "j"), ("range_projection_orthogonality", i, j),
+                mul(alg.p(i), alg.p(j)), rhs,
             )
 
     total = zero
@@ -887,10 +885,7 @@ def verify_relations(
         total = total + alg.p(j)
     if inject_fault:
         total = total + alg.p(1) * Fraction(1, 2)
-    _record_case(
-        report, () if equal(total, alg.identity) else ({},),
-        ("relation",), ("unit_decomposition",),
-    )
+    yield case(("relation",), ("unit_decomposition",), total, alg.identity)
 
     q = {j: alg.q(j) for j in range(1, n + 1)}
     s_levels = {
@@ -904,9 +899,8 @@ def verify_relations(
             star = alg.s_star(mu)
             for nu, s_nu in level:
                 rhs = q[mu[-1]] if mu == nu else zero
-                _record_case(
-                    report, () if equal(mul(star, s_nu), rhs) else ({},),
-                    ("relation", "mu", "nu"), ("word_collapse", mu, nu),
+                yield case(
+                    ("relation", "mu", "nu"), ("word_collapse", mu, nu), mul(star, s_nu), rhs
                 )
 
     for ke in range(1, max_state_len + 1):
@@ -916,19 +910,14 @@ def verify_relations(
             for ka in range(1, max_state_len + 1):
                 for a, s_a in s_levels[ka]:
                     rhs = s_a if row[a[0] - 1] else zero
-                    _record_case(
-                        report, () if equal(mul(q_eta, s_a), rhs) else ({},),
+                    yield case(
                         ("relation", "eta", "alpha"), ("support_absorption", eta, a),
+                        mul(q_eta, s_a), rhs,
                     )
 
     for m in range(1, max_word_len + 1):
         resolution = CKElement(alg, {Monomial(wd, wd): 1 for wd in alg.words(m)})
-        _record_case(
-            report, () if equal(resolution, alg.identity) else ({},),
-            ("relation", "m"), ("depth_resolution", m),
-        )
-
-    return report
+        yield case(("relation", "m"), ("depth_resolution", m), resolution, alg.identity)
 
 
 def _is_partial_permutation(units) -> bool:
@@ -955,7 +944,7 @@ def verify_witness_decomposition(
     additionally checked to be a partial isometry.  Both sides are sparse
     maps from cells to terms, compared by ``_cell_mismatches``: only a cell
     whose term maps differ goes to ``alg.equal``.  Each (alpha, beta, i, l)
-    is one case, entered into the report by ``_record_case``; a failed case
+    is one case, entered into the report by ``_report``; a failed case
     leaves one record per mismatched cell, in row-major order, then one per
     block that is not a partial isometry, in block order.  Cases come in generator-then-power
     order: alpha and beta by length, then lexicographically, then i, then l.
@@ -966,9 +955,14 @@ def verify_witness_decomposition(
     """
     if n0 < 1 or n < 1:
         raise ValueError("n0 and n must be >= 1")
+    return _report({"n0": n0, "n": n, "m": n0 + n}, _witness_cases(alg, n0, n, inject_fault))
+
+
+def _witness_cases(alg: CuntzKriegerAlgebra, n0: int, n: int, inject_fault: bool):
+    """Yield the cases of ``verify_witness_decomposition`` in its order,
+    each as ``_report`` takes it."""
     m = n0 + n
     index = alg.words(m)
-    report = VerificationReport(0, 0, params={"n0": n0, "n": n, "m": m})
     injected = False
     # S_mu for a block keyed by a word, Q_j for one keyed by a symbol
     pieces: dict = {mu: alg.s(mu) for k in range(1, n0 + 1) for mu in alg.words(k)}
@@ -1008,8 +1002,4 @@ def verify_witness_decomposition(
                         for key, units in blocks.items()
                         if units and not _is_partial_permutation(units)
                     ]
-                    _record_case(
-                        report, mismatches, ("alpha", "beta", "i", "l"), (alpha, beta, i, l)
-                    )
-
-    return report
+                    yield ("alpha", "beta", "i", "l"), (alpha, beta, i, l), mismatches

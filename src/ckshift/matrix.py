@@ -16,15 +16,18 @@ successor lists, by the one exact matrix-vector kernel ``_matvec`` (a row
 with a single successor costs it one read of a C-level ``itemgetter``
 gather), each count summed through the in-degrees over only the states
 entered more than once, or the minimal recurrence of the counts themselves
-(Berlekamp-Massey, checked exactly) with x^(k-1) taken modulo its
-polynomial by binary powering.  Each bit squares the remainder by
+(Berlekamp-Massey, checked exactly) with r = x^(k-1) taken modulo its
+polynomial p by binary powering; the first d counts are then windows of r
+over the set-up counts s_j = w(j + 1), w(k + i) = sum_j r_j s_(i+j)
+(Fiduccia, SIAM J. Comput. 14, 1985).  Each bit squares the remainder by
 Karatsuba's split, 3^ceil(log2 d) squares of its coefficients where the
 schoolbook takes d squares and d(d - 1)/2 products; the schoolbook is the
 base case, for d = 1 or coefficients under ``_SPLIT_BITS`` bits.  For
 fewer than (d + 1) / 2 counts from a recurrence of order d, the powering
-stops at x^h, h = (k-1) // 2, and the counts restart at w(h + 1): that
-skips the top squaring, the dearest step.  Past the first d counts, each
-comes from p itself, w(k + d) = -sum_j q_j w(k + j).
+stops at x^h, h = (k-1) // 2, and the windows run over the counts
+restarted at w(h + 1): that skips the top squaring, the dearest step.
+Past the first d counts, each comes from p itself,
+w(k + d) = -sum_j q_j w(k + j), by ``_continued``.
 When Berlekamp-Massey fails its exact check at one modulus, the cost model
 prices the next modulus against walking on before it is tried.
 The Perron vectors are found in floating point (power iteration, with
@@ -461,15 +464,15 @@ def _minimal_recurrence(
     return None
 
 
-def _times_x(r: list[int], taps) -> list[int]:
-    """x r mod p, for r of degree < d = len(r) and p = x^d + sum of the
-    (j, q_j) in ``taps``."""
-    top = r[-1]
-    r = [0, *r[:-1]]
-    if top:
-        for j, c in taps:
-            r[j] -= top * c
-    return r
+def _continued(s: list[int], q: list[int], length: int) -> list[int]:
+    """s, extended in place to ``length`` terms and returned: the recurrence
+    of p = x^d + sum_j q_j x^j, s_(i+d) = -sum_j q_j s_(i+j), one C-level
+    dot product per term.  An s of ``length`` terms or more is left as it
+    is; a shorter one needs d terms to go on from."""
+    d = len(q)
+    for i in range(len(s) - d, length - d):
+        s.append(-sum(map(operator.mul, q, s[i : i + d])))
+    return s
 
 
 # ``_square`` squares by the schoolbook when every coefficient is shorter
@@ -518,20 +521,22 @@ def _x_power(e: int, taps, d: int) -> list[int]:
     of its coefficients once they reach ``_SPLIT_BITS`` bits and the
     schoolbook's d(d+1)/2 products below that, and reduces the square by
     the recurrence, one product per tap for each of its d - 1 high
-    coefficients.  The last squaring is the largest, its operands half the
-    size of the result; ``_word_counts`` powers only to half of a deep
-    exponent when 2K < d + 1 counts make that squaring the dearer step."""
+    coefficients.  On a 1 bit the square first moves up one place, to
+    x r^2, and its reduction starts at its new top coefficient.  The last
+    squaring is the largest, its operands half the size of the result;
+    ``_word_counts`` powers only to half of a deep exponent when 2K < d + 1
+    counts make that squaring the dearer step."""
     r = [1] + [0] * (d - 1)
     for bit in bin(e)[2:]:
         sq = _square(r)
-        for i in range(2 * d - 2, d - 1, -1):
+        if bit == "1":
+            sq.insert(0, 0)  # x r^2
+        for i in range(len(sq) - 1, d - 1, -1):
             c = sq[i]
             if c:
                 for j, t in taps:
                     sq[i - d + j] -= c * t
         r = sq[:d]
-        if bit == "1":
-            r = _times_x(r, taps)
     return r
 
 
@@ -557,9 +562,9 @@ def _recurrence_pays(
       per bit, but x^e is a bare monomial for e < d, so only the bits of
       (k_min - 1) // n count (when ``_word_counts`` stops the powering at
       half the exponent, its restart costs the n^2 products of the bit it
-      saves); and spends 2n per further count (a shift by x and a dot
-      product for the first d, and past them one dot product of p's d
-      coefficients with the last d counts, left at the same price).
+      saves); and spends 2n per further count (a window of d products of
+      r with the counts for the first d, and past them one dot product of
+      p's d coefficients with the last d counts, left at the same price).
     ``_word_counts`` tries only the moduli this model prices below the
     walk.  Once one has failed its exact check, the 2n set-up steps are in
     hand on both routes, so they cancel, and so does the failed attempt,
@@ -609,22 +614,24 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
     the last the (indeg(j) - 1) v(j) of the states j entered more than
     once, by one more gather, not a sum over all n states.  The recurrence
     walks only to s_j = w(j + 1) for j < 2n, finds their minimal
-    polynomial p of degree d <= n (``_minimal_recurrence``), and gives
-    w(k) = sum_j r_j s_j with r = x^(k-1) mod p (``_x_power``), so a deep
-    k_min costs, per bit of k_min, one square of r by ``_square``,
+    polynomial p of degree d <= n (``_minimal_recurrence``), and reads
+    each count as a window w(k_min + i) = sum_j r_j s_(i+j) of
+    r = x^(k_min - 1) mod p (``_x_power``) over the set-up counts, so a
+    deep k_min costs, per bit of k_min, one square of r by ``_square``,
     3^ceil(log2 d) squares of its coefficients by Karatsuba's split (the
     schoolbook's d(d+1)/2 products while they are under ``_SPLIT_BITS``
-    bits), and its reduction by p.  The next counts, up to the first d,
-    read r, x r, x^2 r, ..., a shift by x between two counts, and every
-    count after those comes from p itself, w(k + d) = -sum_j q_j w(k + j):
-    one C-level dot product.
+    bits), and its reduction by p.  Windows give the counts up to the
+    first d, and every count after those comes from p itself,
+    w(k + d) = -sum_j q_j w(k + j), by ``_continued``: one C-level dot
+    product.
     When fewer than (d + 1) / 2 counts are asked for (2K < d + 1, with
     K = k_max - k_min + 1), the top squaring of that powering, the square
     of a half-size remainder, costs more than the counts do, so it is
-    skipped: r = x^h mod p for h = (k_min - 1) // 2 gives the d counts
-    t_i = w(h + i + 1) = sum_j r_j s_(i+j), d^2 products of a half-size
-    r_j by a short s, and the counts go on from t with r, or x r when
-    k_min - 1 is odd, at d half-size products each.
+    skipped: r = x^h mod p, for h, skip = divmod(k_min - 1, 2), gives the
+    d counts t_i = w(h + i + 1) = sum_j r_j s_(i+j), d^2 products of a
+    half-size r_j by a short s.  ``_continued`` extends t by p to
+    skip + K + d - 1 terms, and the counts are the windows
+    w(k_min + i) = sum_j r_j t_(skip+i+j), at d half-size products each.
     p annihilates the counts but not always the vectors A^j 1, so this
     route yields counts only, never the vector A^(k-1) 1.
     """
@@ -642,27 +649,23 @@ def _word_counts(mat: TransitionMatrix, k_max: int, k_min: int = 1) -> list[int]
         s = list(itertools.islice(walk, 2 * n))
         q = _minimal_recurrence(s, exponents)
         if q is not None:
-            d = len(q)
+            d, K = len(q), k_max - k_min + 1
             taps = [(j, c) for j, c in enumerate(q) if c]
-            if 2 * (k_max - k_min + 1) < d + 1:
-                # restart the counts at s_h: s_(h+i) = sum_j r_j s_(i+j)
-                # for r = x^h mod p
-                h, odd = divmod(k_min - 1, 2)
+            if 2 * K < d + 1:
+                # restart the counts at s_h: t_i = s_(h+i) = sum_j r_j s_(i+j)
+                # for r = x^h mod p, and read on from t
+                h, skip = divmod(k_min - 1, 2)
                 r = _x_power(h, taps, d)
-                s = [sum(map(operator.mul, r, s[i : i + d])) for i in range(d)]
-                if odd:
-                    r = _times_x(r, taps)
+                t = [sum(map(operator.mul, r, s[i : i + d])) for i in range(d)]
+                s = _continued(t, q, skip + K + d - 1)
             else:
-                r = _x_power(k_min - 1, taps, d)
-            counts = []
-            for _ in range(min(k_max - k_min + 1, d)):
-                if counts:
-                    r = _times_x(r, taps)
-                counts.append(sum(map(operator.mul, r, s)))
-            # the rest from p itself: w(k + d) = -sum_j q_j w(k + j)
-            for i in range(k_max - k_min + 1 - d):
-                counts.append(-sum(map(operator.mul, q, counts[i : i + d])))
-            return counts
+                skip, r = 0, _x_power(k_min - 1, taps, d)
+            # w(k_min + i) = sum_j r_j s_(skip+i+j), the rest from p itself
+            counts = [
+                sum(map(operator.mul, r, s[skip + i : skip + i + d]))
+                for i in range(min(K, d))
+            ]
+            return _continued(counts, q, K)
         walk = itertools.chain(s, walk)
     return list(itertools.islice(walk, k_min - 1, k_max))
 
@@ -671,9 +674,10 @@ def word_count(mat: TransitionMatrix, k: int) -> int:
     """Number of admissible words of length k, exactly: the entry sum
     1^T A^(k-1) 1, by the walk or the minimal recurrence of the counts,
     whichever the cost model in ``_recurrence_pays`` finds cheaper.  On the
-    recurrence, a single count of order d >= 2 powers x only to
-    (k - 1) // 2 and restarts the counts at w((k - 1) // 2 + 1), as
-    ``_word_counts`` does whenever 2K < d + 1.  A length below 1 raises
+    recurrence, the count is a window of r = x^(k-1) mod p over the set-up
+    counts; a single count of order d >= 2 powers x only to (k - 1) // 2
+    and reads its window over the counts restarted at w((k - 1) // 2 + 1),
+    as ``_word_counts`` does whenever 2K < d + 1.  A length below 1 raises
     the ValueError of ``_word_counts``, which holds the word-length rule."""
     return _word_counts(mat, k, k)[0]
 
