@@ -7,9 +7,12 @@ The only module of the package that imports numpy at load time, and, with
 algebra) never loads numpy.  Its one entry point, ``perron_vectors``, takes
 the matrix and returns the two vectors as lists of Python floats.  Each
 Perron vector of A + I comes from power iteration, with Noda's inverse
-iteration where the spectral gap is small; ``matrix`` then certifies the
-radius in exact integer arithmetic, and computes the residual of the pair
-over the adjacency lists with the kernel of that certificate.
+iteration where the spectral gap is small.  Noda's steps share one shifted
+matrix per vector and rewrite only its diagonal, the one part that depends
+on the shift, which relies on ``np.linalg.solve`` not writing its input.
+``matrix`` then certifies the radius in exact integer arithmetic, and
+computes the residual of the pair over the adjacency lists with the kernel
+of that certificate.
 """
 
 from __future__ import annotations
@@ -79,8 +82,17 @@ def _noda(m: np.ndarray, tol: float, max_steps: int, v: np.ndarray):
     (rounding has taken over), or at the first solve that fails or gives a
     vector that is not finite and positive, keeping the last good vector.
     Returns (vector summing to 1, steps taken).
+
+    One shifted matrix is kept for the whole call: only its diagonal
+    depends on sigma, so a step writes sigma - m_ii there and leaves the
+    cells 0.0 - m_ij alone.  Those are the floats of sigma I - m built
+    afresh (sigma * 0.0 - m_ij off the diagonal, sigma * 1.0 - m_ii on it),
+    and the reuse is sound because ``np.linalg.solve`` never writes its
+    input.
     """
-    eye = np.eye(m.shape[0])
+    n = m.shape[0]
+    shifted = 0.0 - m
+    diagonal = m.diagonal().copy()
     last = math.inf
     steps = 0
     while steps < max_steps:
@@ -89,8 +101,9 @@ def _noda(m: np.ndarray, tol: float, max_steps: int, v: np.ndarray):
         if sigma - float(ratios.min()) <= tol or sigma >= last:
             break
         last = sigma
+        shifted.flat[:: n + 1] = sigma - diagonal
         try:
-            y = np.linalg.solve(sigma * eye - m, v)
+            y = np.linalg.solve(shifted, v)
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(y).all() and y.min() > 0.0):

@@ -30,6 +30,7 @@ from ckshift import _perron, matrix
 from conftest import (
     GOLDEN_ROWS,
     RANDOM3_ROWS,
+    chord_cycle,
     cycle_with_loop,
     cyclic_permutation,
     periodic_irreducible,
@@ -37,7 +38,7 @@ from conftest import (
     seeded,
     sparse_irreducible,
 )
-from perron_oracle import perron_iterate
+from perron_oracle import noda_reference, perron_iterate
 
 
 def _collatz_wielandt(adjacency, vec):
@@ -174,6 +175,66 @@ class TestCertifiedBracket:
                 pd = spectral_radius(mat, tol)
             assert pd.iterations == plain
             _check_bracket(mat, pd, tol)
+
+
+def _noda_matrices():
+    """m = A + I, as ``perron_vectors`` builds it, for golden, cycle12, the
+    200-cycle with a loop, chord cycles of 120 and 250 states and a random
+    primitive 30-state matrix."""
+    rows = [GOLDEN_ROWS, cycle_with_loop(12), cycle_with_loop(200)]
+    rows += [chord_cycle(120, 3, seeded(1)), chord_cycle(250, 3, seeded(2))]
+    rows.append(random_irreducible(seeded(631), 30, force_loop=True).entries)
+    return [np.array(r, dtype=float) + np.eye(len(r)) for r in rows]
+
+
+def _noda_starts(m, tol):
+    """The uniform vector, and the power loop's vector that ``_perron_vector``
+    hands to ``_noda``."""
+    n = m.shape[0]
+    uniform = np.full(n, 1.0 / n)
+    return [uniform, _perron._power_loop(m, tol, n // 3 + 1, uniform)[1]]
+
+
+class TestNodaShiftedMatrix:
+    """``_noda`` keeps one shifted matrix per call and rewrites its diagonal
+    at each step.  Its floats are those of sigma I - m built afresh, so the
+    steps are the reference loop's, bit for bit."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 1_000_000])
+    def test_same_vector_bytes_and_steps_as_fresh_matrices(self, budget):
+        tol = 1e-12 / 4
+        for a_plus_i in _noda_matrices():
+            # the right vector's matrix, and the F-ordered view of the left
+            for m in (a_plus_i, a_plus_i.T):
+                for v in _noda_starts(m, tol):
+                    y, steps = _perron._noda(m, tol, budget, v)
+                    want, want_steps = noda_reference(m, tol, budget, v)
+                    assert steps == want_steps
+                    assert y.tobytes() == want.tobytes()
+
+    def test_every_solve_gets_the_one_shifted_matrix(self, monkeypatch):
+        # off the diagonal its cells stay 0.0 - m; on it, each step has
+        # written sigma - m_ii for that step's sigma
+        tol = 1e-12 / 4
+        solve = np.linalg.solve
+        for a_plus_i in _noda_matrices():
+            for m in (a_plus_i, a_plus_i.T):
+                n = m.shape[0]
+                off = ~np.eye(n, dtype=bool)
+                seen = []
+
+                def recording_solve(a, b):
+                    sigma = float(((m @ b) / b).max())
+                    assert a[off].tobytes() == (0.0 - m)[off].tobytes()
+                    assert a.diagonal().tobytes() == (sigma - m.diagonal()).tobytes()
+                    seen.append(a)
+                    return solve(a, b)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "solve", recording_solve)
+                    _, steps = _perron._noda(m, tol, 1_000_000, np.full(n, 1.0 / n))
+                assert steps >= 2 and len(seen) >= steps
+                assert all(a is seen[0] for a in seen)
 
 
 class TestCertificateOnArbitraryVectors:
