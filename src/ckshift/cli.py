@@ -8,6 +8,14 @@ for ``words`` and ``convergence``; every other subcommand exits 2 with one
 line under it.  Each subcommand is one row of the table in
 ``build_parser``: its handler, help, CSV form and flags.
 
+``validate``, ``entropy``, ``words`` and ``convergence`` build each figure
+once, as the string that both forms print, and hand their JSON document
+and their text lines to ``_show``, which writes the one that ``--format``
+asks for.  ``parry`` and ``dual`` write their rows one line at a time
+instead: a row of the Parry matrix has n cells and one of the edge matrix
+has one per edge, so a batch of rows would hold many megabytes at once on
+a large matrix.
+
 Exit codes: 0 success, 1 verification mismatch, 2 operational error (bad
 input, I/O, exhausted recursion or memory, or an internal error), reported
 as one line on stderr.  A stdout that fails (a closed pipe, a full disk) is
@@ -18,6 +26,7 @@ the stream pointed at devnull, so that the flush at exit cannot fail again.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -62,7 +71,7 @@ def _emit_json(obj) -> None:
 def _emit_json_rows(obj: dict) -> None:
     """``_emit_json`` for a dict whose values are ints or lists of rows: the
     same bytes, with each distinct row encoded once and its text reused."""
-    texts: dict[tuple, str] = {}
+    text = functools.cache(lambda row: json.dumps(row, indent=2).replace("\n", "\n    "))
     write = sys.stdout.write
     for n, key in enumerate(sorted(obj)):
         write(("," if n else "{") + "\n  " + json.dumps(key) + ": ")
@@ -71,12 +80,19 @@ def _emit_json_rows(obj: dict) -> None:
             write(json.dumps(value))
             continue
         for r, row in enumerate(value):
-            text = texts.get(row)
-            if text is None:
-                text = texts[row] = json.dumps(row, indent=2).replace("\n", "\n    ")
-            write(("," if r else "[") + "\n    " + text)
+            write(("," if r else "[") + "\n    " + text(row))
         write("\n  ]")
     write("\n}\n")
+
+
+def _show(args, doc, lines) -> int:
+    """Write a subcommand's output and return 0: ``doc`` under ``--format
+    json``, else ``lines``, the text or CSV lines without their newlines."""
+    if args.format == "json":
+        _emit_json(doc)
+    else:
+        _emit(line + "\n" for line in lines)
+    return 0
 
 
 def _scale(base: str) -> float:
@@ -90,13 +106,11 @@ def _cmd_validate(args) -> int:
         "irreducible": is_irreducible(mat),
         "permutation": is_permutation(mat),
     }
-    if args.format == "json":
-        _emit_json(info)
-    else:
-        print(f"valid transition matrix, n={info['n']}")
-        print(f"irreducible: {info['irreducible']}")
-        print(f"permutation: {info['permutation']}")
-    return 0
+    return _show(args, info, [
+        f"valid transition matrix, n={info['n']}",
+        f"irreducible: {info['irreducible']}",
+        f"permutation: {info['permutation']}",
+    ])
 
 
 def _cmd_entropy(args) -> int:
@@ -112,44 +126,36 @@ def _cmd_entropy(args) -> int:
     except NotIrreducibleError:
         warnings.append("matrix is not irreducible")
     else:
-        log_radius = math.log(pd.radius) / scale
-        markov = markov_entropy(pd) / scale
+        log_radius = _fmt(math.log(pd.radius) / scale)
+        markov = _fmt(markov_entropy(pd) / scale)
     if is_permutation(mat):
         warnings.append("matrix is a permutation")
     for w in warnings:
         sys.stderr.write(f"warning: {w}\n")
-    ratio = last.ratio / scale
-    growth = last.growth / scale
-    if args.format == "json":
-        _emit_json(
-            {
-                "k": k,
-                "base": args.base,
-                "log_radius": None if log_radius is None else _fmt(log_radius),
-                "markov_entropy": None if markov is None else _fmt(markov),
-                "ratio": _fmt(ratio),
-                "eq3": _fmt(growth),
-                "warnings": warnings,
-            }
-        )
-    else:
-        na = "n/a (matrix not irreducible)"
-        print(f"log spectral radius     {na if log_radius is None else _fmt(log_radius)}")
-        print(f"markov entropy          {na if markov is None else _fmt(markov)}")
-        print(f"ratio estimate (k={k})   {_fmt(ratio)}")
-        print(f"growth estimate (k={k})  {_fmt(growth)}")
-    return 0
+    doc = {
+        "k": k,
+        "base": args.base,
+        "log_radius": log_radius,
+        "markov_entropy": markov,
+        "ratio": _fmt(last.ratio / scale),
+        "eq3": _fmt(last.growth / scale),
+        "warnings": warnings,
+    }
+    na = "n/a (matrix not irreducible)"
+    return _show(args, doc, [
+        f"log spectral radius     {log_radius or na}",
+        f"markov entropy          {markov or na}",
+        f"ratio estimate (k={k})   {doc['ratio']}",
+        f"growth estimate (k={k})  {doc['eq3']}",
+    ])
 
 
 def _cmd_words(args) -> int:
     mat = load_matrix(args.matrix)
     words = enumerate_words(mat, args.k_max)
-    if args.format == "json":
-        _emit_json({"k": args.k_max, "count": len(words), "words": words})
-    else:
-        sep = "," if args.format == "csv" else " "
-        _emit(sep.join(map(str, w)) + "\n" for w in words)
-    return 0
+    sep = "," if args.format == "csv" else " "
+    doc = {"k": args.k_max, "count": len(words), "words": words}
+    return _show(args, doc, (sep.join(map(str, w)) for w in words))
 
 
 def _cmd_parry(args) -> int:
@@ -190,14 +196,11 @@ def _cmd_dual(args) -> int:
         titles = ("edge matrix:", "left factor S:", "right factor T:")
         # edges into one state share their rows of A' and T: format each
         # distinct row once
-        lines: dict[tuple, str] = {}
+        line = functools.cache(lambda row: "  " + " ".join(map(str, row)))
         for title, rows in zip(titles, (a_prime, s, t)):
             print(title)
             for row in rows:
-                line = lines.get(row)
-                if line is None:
-                    line = lines[row] = "  " + " ".join(map(str, row))
-                print(line)
+                print(line(row))
     return 0
 
 
@@ -216,32 +219,22 @@ def _cmd_convergence(args) -> int:
         estimates = _estimate_rows(mat, k_max)
         shifted = _word_counts(mat, k_max + n0, 1 + n0)
     target = _log_radius(mat)
-    target = None if target is None else target / scale
+    target = None if target is None else _fmt(target / scale)
     rows = [
         dict(_row_fields(row, scale), witness=_fmt(math.log(wn) / row.k / scale))
         for row, wn in zip(estimates, shifted)
     ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "base": args.base,
-                "n0": args.n0,
-                "target": None if target is None else _fmt(target),
-                "rows": rows,
-            }
-        )
-    elif args.format == "csv":
-        print("k,w_k,eq3,ratio,witness")
-        for r in rows:
-            print(",".join(map(str, r.values())))
+    if args.format == "csv":
+        lines = ["k,w_k,eq3,ratio,witness", *(",".join(map(str, r.values())) for r in rows)]
     else:
-        print(f"{'k':>4} {'w_k':>22} {'eq3':>20} {'ratio':>20} {'witness':>20}")
+        lines = [f"{'k':>4} {'w_k':>22} {'eq3':>20} {'ratio':>20} {'witness':>20}"]
         for r in rows:
             wk = r["w_k"] if len(r["w_k"]) <= 22 else r["w_k"][:19] + "..."
-            print(f"{r['k']:>4} {wk:>22} {r['eq3']:>20} {r['ratio']:>20} {r['witness']:>20}")
+            lines.append(f"{r['k']:>4} {wk:>22} {r['eq3']:>20} {r['ratio']:>20} {r['witness']:>20}")
         if target is not None:
-            print(f"target log r(A): {_fmt(target)}")
-    return 0
+            lines.append(f"target log r(A): {target}")
+    doc = {"base": args.base, "n0": n0, "target": target, "rows": rows}
+    return _show(args, doc, lines)
 
 
 def _cmd_verify_ck(args) -> int:
@@ -261,7 +254,7 @@ def _verify(args, verifier: str, *bounds) -> int:
     alg = ck.CuntzKriegerAlgebra(load_matrix(args.matrix))
     report = getattr(ck, verifier)(alg, *bounds, inject_fault=args.inject_fault)
     if report.ok and args.format != "json":
-        print(f"all {report.cases} cases passed")
+        _emit([f"all {report.cases} cases passed\n"])
     else:
         _emit_json(report.to_json_dict())
     return 0 if report.ok else 1

@@ -419,6 +419,32 @@ class TestBlockEmbedding:
         assert not lhs.equals(full2_alg.block_embedding(1, full2_alg.identity))
 
 
+# an element, a block matrix and a block diagonal of the golden algebra
+# against operands of other types: each operator returns NotImplemented,
+# so Python raises TypeError, or falls back to identity for ==
+MIXED_TYPE_OPERATIONS = {
+    "x + 1": lambda x, block, diag: x + 1,
+    "x - 1": lambda x, block, diag: x - 1,
+    "x * 0.5": lambda x, block, diag: x * 0.5,
+    "0.5 * x": lambda x, block, diag: 0.5 * x,
+    "block * 2": lambda x, block, diag: block * 2,
+    "diag * 1": lambda x, block, diag: diag * 1,
+    "x == 1": lambda x, block, diag: x == 1,
+    "diag == 1": lambda x, block, diag: diag == 1,
+}
+
+
+@pytest.mark.parametrize("expr", list(MIXED_TYPE_OPERATIONS))
+def test_mixed_type_operands_are_not_implemented(golden_alg, expr):
+    alg = golden_alg
+    operands = alg.p(1), alg.block_embedding(1, alg.identity), alg.af_blocks(alg.p(1), 1)
+    if "==" in expr:
+        assert MIXED_TYPE_OPERATIONS[expr](*operands) is False
+    else:
+        with pytest.raises(TypeError):
+            MIXED_TYPE_OPERATIONS[expr](*operands)
+
+
 class TestAfBlocks:
     def test_projection_is_rank_one_unit(self, golden_alg):
         bd = golden_alg.af_blocks(golden_alg.p(1), 1)

@@ -674,6 +674,53 @@ class TestPinnedFloatOutput:
         assert out.encode() == (DATA / f"{command}_{name}_{base}.{fmt}.out").read_bytes()
 
 
+class TestPinnedRenderedOutput:
+    # the figures the other pinned files leave out: validate, the reducible
+    # and permutation forms of entropy and convergence, convergence's CSV,
+    # and counts cut to 22 columns; reducible3 is [[1,1,0],[1,0,0],[0,0,1]]
+    CASES = [
+        ("validate_golden", ["validate", "--matrix", "golden.txt"], ""),
+        ("validate_perm2", ["validate", "--matrix", "perm2.txt"], ""),
+        ("entropy_reducible3", ["entropy", "--matrix", "reducible3.txt"],
+         "warning: matrix is not irreducible\n"),
+        ("entropy_perm2", ["entropy", "--matrix", "perm2.txt"],
+         "warning: matrix is a permutation\n"),
+        ("convergence_reducible3", ["convergence", "--matrix", "reducible3.txt"], ""),
+        ("convergence_full2_k80", ["convergence", "--matrix", "full2.txt", "--k-max", "80"], ""),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("stem, argv, err", CASES, ids=[c[0] for c in CASES])
+    def test_output_is_pinned(self, capsys, stem, argv, err, fmt):
+        command, _, name, *flags = argv
+        code, out, got_err = run(
+            capsys, [command, "--matrix", str(DATA / name), *flags, "--format", fmt])
+        assert (code, got_err) == (0, err)
+        assert out.encode() == (DATA / f"{stem}.{fmt}.out").read_bytes()
+
+    @pytest.mark.parametrize("base", ["natural", "bits"])
+    def test_convergence_csv_is_pinned(self, capsys, base):
+        code, out, err = run(capsys, ["convergence", "--matrix", str(DATA / "golden.txt"),
+                                      "--format", "csv", "--base", base])
+        assert (code, err) == (0, "")
+        assert out.encode() == (DATA / f"convergence_golden_{base}.csv.out").read_bytes()
+
+
+class TestOneWrite:
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["entropy"], ["convergence"], ["convergence", "--format", "csv"],
+        ["verify-ck"],
+    ], ids=" ".join)
+    def test_text_forms_reach_stdout_in_one_write(self, monkeypatch, argv):
+        # each write is a system call when stdout is unbuffered
+        writes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(sys.stdout, "write", writes.append)
+            assert main([*argv, "--matrix", str(DATA / "golden.txt")]) == 0
+        assert len(writes) == 1
+        assert "".join(writes).endswith("\n")
+
+
 class TestProcessLevel:
     def test_console_invocation(self, golden_file):
         proc = subprocess.run(
@@ -790,6 +837,20 @@ def test_failing_stdout_write_exits_2_with_one_line(capsys, monkeypatch, args):
     for stop in sorted({1, (len(writes) + 1) // 2, len(writes)}):
         code, err = _closed_pipe_run([sys.executable, "-c", FAILING_WRITE, str(stop), *argv], False)
         assert (code, err) == (2, "error: [Errno 5] Input/output error\n"), stop
+
+
+def test_failing_middle_batch_exits_2_with_one_line():
+    # words of length 20 on golden go out in 5 batches of up to 4096
+    # lines; the third fails, into a stdout that takes the first two.
+    # (Into a closed pipe, as above, the first batch would fail already:
+    # it is larger than the pipe's buffer.)
+    argv = ["words", "--k-max", "20", "--matrix", str(DATA / "golden.txt")]
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_WRITE, "3", *argv],
+        capture_output=True, env=_quiet_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 5] Input/output error\n")
+    assert proc.stdout.count(b"\n") == 2 * 4096
 
 
 def _parser_surface(parser: argparse.ArgumentParser) -> dict:
