@@ -8,11 +8,9 @@ with exact rational coefficients, so equality of elements is decidable.
 Stored terms are in normal form: no coefficient is zero, and a coefficient
 is stored as an ``int`` when it is integral and as a ``Fraction``
 otherwise; an int is a ``numbers.Rational`` and compares, hashes and prints
-like the equal Fraction.  The public constructors, sums and scalar
-multiples normalize what they build.  Generators, support projections,
-shifts, adjoints and negations are in normal form by construction, and so
-is a product whose coefficients are all nonzero ints; these skip the
-normalization.
+like the equal Fraction.  Every element is built by the ``CKElement``
+constructor, which normalizes every map it is given, so normal form is set
+in one place.
 
 A monomial is identified with zero at construction time when either word is
 inadmissible, or when the two words end in symbols with no common successor
@@ -44,9 +42,11 @@ extends the word it meets, equals it, or is its prefix.
 Words are found in one prefix table per length m, built once from the
 sorted tuple of admissible words of that length: the words with a given
 prefix form one contiguous range of it, and a concatenation of admissible
-words of total length m is admissible exactly when the table holds it.  The
-canonical shift is concatenation too, since S_eta S_a S_b* S_eta* =
-S_{eta a} S_{eta b}*; it multiplies nothing.
+words of total length at most m is admissible exactly when the table holds
+it.  A verification at depth m finds every word it needs, rows, columns
+and witness units alike, in the one depth-m table.  The canonical shift is
+concatenation too, since S_eta S_a S_b* S_eta* = S_{eta a} S_{eta b}*; it
+multiplies nothing.
 """
 
 from __future__ import annotations
@@ -109,10 +109,6 @@ class Monomial(NamedTuple):
         return "".join(out)
 
 
-# the coefficient types of a map whose coefficients are all ints
-_INT = {int}
-
-
 def _coeff(c) -> numbers.Rational:
     """c as an exact coefficient: an int as it is, anything else as a
     Fraction (which ``CKElement`` stores as an int when it is integral)."""
@@ -124,12 +120,10 @@ class CKElement:
 
     The stored terms are in normal form: no coefficient is zero, and an
     integral coefficient is stored as an ``int``, any other as a
-    ``Fraction``.  The constructor normalizes the map it is given.
-    ``_normal`` stores a map that is in normal form by construction as it
-    is, without a copy; the algebra builds its generators, support
-    projections, shifts, adjoints, negations and all-integer products that
-    way.  ``==`` is structural (same stored terms); use ``algebra.equal``
-    for equality in the algebra, which is invariant under refinement.
+    ``Fraction``.  The constructor normalizes the map it is given, into a
+    map of its own, and every element of the algebra is built through it.
+    ``==`` is structural (same stored terms); use ``algebra.equal`` for
+    equality in the algebra, which is invariant under refinement.
     """
 
     __slots__ = ("algebra", "terms")
@@ -141,15 +135,6 @@ class CKElement:
             for m, c in terms.items()
             if c
         }
-
-    @classmethod
-    def _normal(cls, algebra: "CuntzKriegerAlgebra", terms: dict) -> "CKElement":
-        """The element of ``terms``, a fresh map already in normal form,
-        stored as it is; the map is not written to afterwards."""
-        x = object.__new__(cls)
-        x.algebra = algebra
-        x.terms = terms
-        return x
 
     @property
     def is_zero(self) -> bool:
@@ -168,7 +153,7 @@ class CKElement:
         return CKElement(self.algebra, merged)
 
     def __neg__(self):
-        return CKElement._normal(self.algebra, {m: -c for m, c in self.terms.items()})
+        return CKElement(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, CKElement):
@@ -192,7 +177,7 @@ class CKElement:
     def adjoint(self) -> "CKElement":
         """The *-operation: S_mu S_nu* maps to S_nu S_mu*, coefficients
         unchanged (they are rational)."""
-        return CKElement._normal(
+        return CKElement(
             self.algebra,
             {Monomial(m.right, m.left): c for m, c in self.terms.items()},
         )
@@ -334,7 +319,7 @@ class CuntzKriegerAlgebra:
     def q(self, i: int) -> CKElement:
         """Support projection S_i* S_i, expanded as sum_j A(i,j) P_j."""
         _check_word((i,), self.n)
-        return CKElement._normal(self, dict.fromkeys(self._q_terms[i - 1], 1))
+        return CKElement(self, dict.fromkeys(self._q_terms[i - 1], 1))
 
     def generator(self, alpha, i: int, beta) -> CKElement:
         """S_alpha P_i S_beta*.
@@ -350,7 +335,7 @@ class CuntzKriegerAlgebra:
         left, right = self._cat(a, (i,)), self._cat(b, (i,))
         if left is None or right is None:
             return self.zero
-        return CKElement._normal(self, {tuple.__new__(Monomial, (left, right)): 1})
+        return CKElement(self, {tuple.__new__(Monomial, (left, right)): 1})
 
     def _generator_words(self, alpha, i: int, beta) -> tuple[Word, Word]:
         """alpha and beta as words, checked for S_alpha P_i S_beta*: every
@@ -398,9 +383,8 @@ class CuntzKriegerAlgebra:
         return ()
 
     def _multiply(self, x: CKElement, y: CKElement) -> CKElement:
-        """x y for elements of this algebra, unchecked.  A product whose
-        coefficients are all nonzero ints is in normal form already and is
-        stored as it is; any other goes through the normalizing constructor."""
+        """x y for elements of this algebra, unchecked; a product without
+        a term is the zero element itself."""
         acc: dict[Monomial, numbers.Rational] = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
@@ -409,9 +393,6 @@ class CuntzKriegerAlgebra:
                     acc[m] = acc.get(m, 0) + c
         if not acc:
             return self.zero
-        coeffs = acc.values()
-        if set(map(type, coeffs)) == _INT and 0 not in coeffs:
-            return CKElement._normal(self, acc)
         return CKElement(self, acc)
 
     # -- refinement and equality -------------------------------------------
@@ -485,7 +466,7 @@ class CuntzKriegerAlgebra:
                     mono = new(Monomial, (eta + a, eta + b)) if a and b else meet(eta + a, eta + b)
                     if mono is not None:
                         acc[mono] = c
-        return CKElement._normal(self, acc)
+        return CKElement(self, acc)
 
     def block_embedding(self, m: int, x: CKElement) -> "BlockMatrix":
         """The w(m) x w(m) block-matrix embedding with entry (mu, nu) equal
@@ -576,7 +557,8 @@ class CuntzKriegerAlgebra:
         isometry (B B^T B = B over the integers).
 
         Each block is a dense w(m) x w(m) int64 array; the verifier works on
-        the sparse unit sets underneath.
+        the sparse unit sets underneath, whose words all come from the one
+        prefix table of depth m.
         """
         a, b = self._generator_words(alpha, i, beta)
         if len(b) > len(a):
@@ -605,7 +587,11 @@ class CuntzKriegerAlgebra:
         """The witness blocks of ``witness_blocks``, each as the set of its
         (row, col) matrix units, keyed (and ordered) the same way.  The
         arguments are trusted: a and b are admissible word tuples with
-        |b| <= |a|, and 0 <= l <= m - 1 - |a|."""
+        |b| <= |a|, and 0 <= l <= m - 1 - |a|.
+
+        Rows and columns are both looked up in the prefix table of depth m:
+        a row's columns are the words under its head, eta b followed by the
+        row's own mid."""
         index, spans = self.words(m), self._spans(m)
         empty = range(0)
         # a column word is eta b mid mu, or eta b mid when |a| = |b|: its
@@ -616,16 +602,12 @@ class CuntzKriegerAlgebra:
         else:
             out = {j: set() for j in range(1, self.n + 1)}
             key = -1
-        # the rows eta a mid are the words of length m that extend eta a i,
-        # and the words eta b mid, of length m - |a| + |b|, those that
-        # extend eta b i, both in the sorted order of mid; the columns are
-        # the words of length m that extend eta b mid
-        depth = m - len(a) + len(b)
-        heads, head_spans = self.words(depth), self._spans(depth)
+        # the rows eta a mid are the words of length m that extend eta a i;
+        # the columns of a row are the words of length m that extend eta b
+        # mid, none when eta b i is not admissible
         for eta in self.words(l):
-            rows = spans.get(eta + a + (i,), empty)
-            for row, p in zip(rows, head_spans.get(eta + b + (i,), empty)):
-                for col in spans[heads[p]]:
+            for row in spans.get(eta + a + (i,), empty):
+                for col in spans.get(eta + b + index[row][l + len(a) :], empty):
                     out[index[col][key]].add((row, col))
         return out
 

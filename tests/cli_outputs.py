@@ -12,13 +12,23 @@ records are equal:
     PYTHONPATH=<other tree>/src python tests/cli_outputs.py before.json
     cmp before.json after.json
 
+With ``--digests`` it writes ``{argv: [exit code, stdout digest, stderr
+digest]}`` in place of the streams, each digest the first 16 hex digits of
+a sha256; ``tests/data/cli_digests.json`` is that record, checked by
+``tests/test_cli_digests.py``:
+
+    PYTHONPATH=src python tests/cli_outputs.py --digests tests/data/cli_digests.json
+
 Standard library only; usage errors (argparse's ``SystemExit``) are
-recorded with their exit code like any other run.
+recorded with their exit code like any other run.  Their digest covers only
+the last stderr line, ``ckshift ...: error: ...``, since argparse wraps the
+usage block above it differently from one Python to the next.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -105,6 +115,10 @@ RUNS = [
     ["verify-lemma2", "--n0", "1", "--n", "0"],
     ["verify-lemma2", "--n0", "1", "--n", "1", "--inject-fault"],
     ["verify-lemma2", "--n0", "1", "--n", "1", "--inject-fault", "--format", "json"],
+    # shift powers l >= 1 in the witness blocks
+    ["verify-lemma2", "--n0", "1", "--n", "2"],
+    ["verify-lemma2", "--n0", "2", "--n", "2"],
+    ["verify-lemma2", "--n0", "2", "--n", "2", "--inject-fault", "--format", "json"],
 ]
 
 # the algebra of a matrix past this size is left to the verify tests
@@ -142,9 +156,27 @@ def record() -> dict[str, list]:
     return records
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digests(records: dict[str, list]) -> dict[str, list]:
+    """Each record as [exit code, stdout digest, stderr digest]; the stderr
+    of a usage error is digested by its last line alone."""
+    out = {}
+    for argv, (code, stdout, stderr) in records.items():
+        if stderr.startswith("usage:"):
+            stderr = stderr.splitlines()[-1]
+        out[argv] = [code, _digest(stdout), _digest(stderr)]
+    return out
+
+
 def main(argv=None) -> int:
-    (path,) = sys.argv[1:] if argv is None else argv
-    records = record()
+    args = sys.argv[1:] if argv is None else argv
+    if not args or args[:-1] not in ([], ["--digests"]):
+        raise SystemExit("usage: cli_outputs.py [--digests] PATH")
+    *flag, path = args
+    records = digests(record()) if flag else record()
     Path(path).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"{len(records)} runs written to {path}")
     return 0
